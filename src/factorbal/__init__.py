@@ -6,7 +6,6 @@ from .balance import (
     BasisSpec,
     balance_residuals,
     build_balance_system,
-    membership_indicator,
     split_contrast,
 )
 from .data import Dataset
@@ -32,22 +31,13 @@ from .errors import (
 from .estimation import (
     EffectEstimate,
     augmented_estimate,
-    estimate_effect,
     fit_outcome_coeffs,
     ols_regression_baseline,
     smd_report,
     unadjusted_baseline,
-    variance_estimate,
     weighted_estimates,
 )
 from .simulation import Scenario, StudyReport, generate, run_study, true_effects
-from .solver import (
-    DualSolution,
-    SolverOptions,
-    check_feasibility,
-    dual_objective,
-    primal_oracle,
-    solve_dual,
-)
+from .solver import DualSolution, SolverOptions, solve_dual
 
 __version__ = "0.1.0"

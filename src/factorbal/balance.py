@@ -40,14 +40,12 @@ class BasisSpec:
     """Covariate basis functions and the outcome-model flavor they balance.
 
     ``model_flavor`` is ``"additive"`` (separate covariate and treatment
-    terms) or ``"heterogeneous"`` (covariate-by-treatment products).
-    ``max_order``, when given, must agree with the design's retained
-    interaction order; the design is the single source of truth.
+    terms) or ``"heterogeneous"`` (covariate-by-treatment products). The
+    interaction order comes from the design.
     """
 
     covariate_bases: Sequence[BasisFunction] | None = None
     model_flavor: str = "heterogeneous"
-    max_order: int | None = None
     labels: Sequence[str] | None = None
 
     def __post_init__(self):
@@ -82,35 +80,6 @@ def split_contrast(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Nonnegative decomposition g = g_plus - g_minus."""
     g = np.asarray(g, dtype=float)
     return np.maximum(g, 0.0), np.maximum(-g, 0.0)
-
-
-def membership_indicator(
-    effect: Effect, z: np.ndarray, design: FactorialDesign
-) -> tuple[float, float]:
-    """Weight that a unit at combination ``z`` contributes to the positive
-    and negative side of ``effect``'s contrast.
-
-    On a complete design these are 0/1 indicators; on an incomplete design
-    they are the nonnegative split of the effective contrast coefficient.
-    The summary effect always contributes (1, 0).
-    """
-    a_plus, a_minus = membership_vectors(effect, np.atleast_2d(z), design)
-    return float(a_plus[0]), float(a_minus[0])
-
-
-def membership_vectors(
-    effect: Effect, Z: np.ndarray, design: FactorialDesign
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized membership coefficients for all units."""
-    n = np.atleast_2d(Z).shape[0]
-    if effect == SUMMARY and design.complete:
-        return np.ones(n), np.zeros(n)
-    pos = design.observed_positions(Z)
-    if effect == SUMMARY:
-        return np.ones(n), np.zeros(n)
-    row = design.effect_row(effect)
-    g_plus, g_minus = split_contrast(row)
-    return g_plus[pos], g_minus[pos]
 
 
 @dataclass(frozen=True)
@@ -190,11 +159,6 @@ def build_balance_system(
     prune rows that only coincide on this particular dataset, e.g. under
     collinear covariates.
     """
-    if basis.max_order is not None and basis.max_order != design.k_prime:
-        raise ConfigurationError(
-            f"basis max_order {basis.max_order} disagrees with the design's "
-            f"retained order {design.k_prime}"
-        )
     if dataset.k != design.k:
         raise ConfigurationError(
             f"dataset has {dataset.k} factors but the design expects {design.k}"
@@ -220,7 +184,6 @@ def build_balance_system(
             (const, J) for J in interactions
         ]
 
-    pos = design.observed_positions(dataset.Z)
     cells = design.observed
     r_cells = {(): np.ones(cells.shape[0])}
     r_units = {(): np.ones(n)}
@@ -235,17 +198,11 @@ def build_balance_system(
             r_units[J] = interaction_value(dataset.Z, J)
         return r_units[J]
 
-    # membership coefficients per retained effect, evaluated at each unit
-    memberships: dict[tuple[int, ...], tuple] = {}
-    for e in design.effects:
-        if e == SUMMARY:
-            ones = np.ones(n)
-            g_row = np.ones(cells.shape[0])
-            memberships[()] = (ones, np.zeros(n), g_row, np.zeros(cells.shape[0]))
-        else:
-            row = design.effect_row(e)
-            gp, gm = split_contrast(row)
-            memberships[e.members] = (gp[pos], gm[pos], gp, gm)
+    # positive and negative contrast parts of each retained effect, at
+    # every unit (side memberships) and at every observed cell (targets)
+    effect_pos = {e.members: i for i, e in enumerate(design.effects)}
+    unit_parts = split_contrast(design.contrasts(dataset.Z, design.effects))
+    cell_parts = split_contrast(design.contrasts(cells, design.effects))
 
     keys = _row_keys(
         tuple(e.members for e in effects), tuple(elements), design.complete
@@ -258,9 +215,9 @@ def build_balance_system(
     target_rows: list[np.ndarray] = []
     meta: list[ConstraintRow] = []
     for members, s, J, sign in keys:
-        a_plus, a_minus, g_plus, g_minus = memberships[members]
-        a = a_plus if sign > 0 else a_minus
-        g_part = g_plus if sign > 0 else g_minus
+        side = 0 if sign > 0 else 1
+        a = unit_parts[side][effect_pos[members]]
+        g_part = cell_parts[side][effect_pos[members]]
         if not design.complete and not np.any(g_part):
             continue
         lhs = a * H[:, s] * rj_units(J)

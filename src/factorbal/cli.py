@@ -136,7 +136,7 @@ def resolve_design(config: RunConfig, dataset: Dataset) -> FactorialDesign:
         if not missing:
             return full_design(k, k_prime)
         return build_incomplete_design(k, k_prime, np.array(missing))
-    return build_incomplete_design(k, k_prime, np.asarray(config.unobserved))
+    return build_incomplete_design(k, k_prime, config.unobserved)
 
 
 def _write_effects(path_prefix: str, fmt: str, estimates) -> list[str]:
@@ -334,14 +334,22 @@ def _build_config(args) -> RunConfig:
         )
     unobserved = pick(args.unobserved, "unobserved_combinations", "none")
     if isinstance(unobserved, str) and unobserved not in ("none", "auto"):
-        cells = []
-        for part in unobserved.split(";"):
-            cells.append([int(v) for v in part.split(",")])
-        unobserved = cells
+        try:
+            unobserved = [
+                [int(v) for v in part.split(",")] for part in unobserved.split(";")
+            ]
+        except ValueError:
+            raise ConfigurationError(
+                f"unobserved combinations must be integers like '1,1,-1;1,1,1', "
+                f"got {unobserved!r}"
+            ) from None
     solver = SolverOptions()
     max_iters = pick(args.max_iters, "max_iters")
     if max_iters is not None:
-        solver = SolverOptions(max_iters=int(max_iters))
+        try:
+            solver = SolverOptions(max_iters=int(max_iters))
+        except ValueError as exc:
+            raise ConfigurationError(f"invalid max iterations {max_iters!r}: {exc}") from None
     return RunConfig(
         data_path=data_path,
         factor_columns=factors,

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -151,11 +152,14 @@ class FactorialDesign:
     effects: tuple[Effect, ...]
     effective: np.ndarray
     uu_min_singular_value: float | None
-    _observed_lookup: dict[int, int] = field(repr=False, hash=False, compare=False, default_factory=dict)
+    _cell_index: np.ndarray | None = field(repr=False, hash=False, compare=False, default=None)
 
     def __post_init__(self):
-        lookup = {int(b): i for i, b in enumerate(combination_bits(self.observed))}
-        object.__setattr__(self, "_observed_lookup", lookup)
+        # position of each of the 2^k combinations among the observed
+        # cells, -1 for unobserved ones
+        index = np.full(2**self.k, -1, dtype=np.int64)
+        index[combination_bits(self.observed)] = np.arange(self.observed.shape[0])
+        object.__setattr__(self, "_cell_index", index)
 
     @property
     def complete(self) -> bool:
@@ -170,15 +174,37 @@ class FactorialDesign:
 
         Raises ``IdentificationError`` if any row is an unobserved cell.
         """
-        bits = combination_bits(z)
-        try:
-            return np.array([self._observed_lookup[int(b)] for b in bits])
-        except KeyError:
-            bad = [tuple(r) for r, b in zip(np.atleast_2d(z), bits)
-                   if int(b) not in self._observed_lookup]
+        z = np.atleast_2d(np.asarray(z))
+        if z.shape[1] != self.k:
+            raise ConfigurationError(
+                f"combinations have {z.shape[1]} factors, the design has {self.k}"
+            )
+        pos = self._cell_index[combination_bits(z)]
+        if np.any(pos < 0):
+            bad = [tuple(r) for r in z[pos < 0]]
             raise IdentificationError(
                 f"units assigned to unobserved treatment combinations: {bad[:5]}"
-            ) from None
+            )
+        return pos
+
+    def contrasts(self, Z: np.ndarray, effects: Sequence[Effect]) -> np.ndarray:
+        """Effective contrast coefficient of each effect at each row of ``Z``.
+
+        Returns an (E, N) array: row e holds ``effect_row(effects[e])``
+        gathered at the rows' observed-cell positions, and the summary
+        effect's row is all ones. Splitting a row into its positive and
+        negative parts gives the units' membership on the two sides of
+        the contrast (0/1 indicators on a complete design).
+        """
+        rows = np.array(
+            [
+                np.ones(self.n_observed_cells) if e == SUMMARY else self.effect_row(e)
+                for e in effects
+            ],
+            dtype=float,
+        ).reshape(len(effects), self.n_observed_cells)
+        # take() keeps the result C-ordered, so each effect's row is contiguous
+        return np.take(rows, self.observed_positions(Z), axis=1)
 
     def effect_row(self, effect: Effect) -> np.ndarray:
         """Effective contrast coefficients of ``effect`` over observed cells."""
@@ -231,11 +257,16 @@ def build_incomplete_design(
         raise ConfigurationError(f"max interaction order must be in [1, {k}]")
 
     combos = enumerate_combinations(k)
-    unobs = np.asarray(unobserved, dtype=np.int8).reshape(-1, k) if len(unobserved) else combos[:0]
-    if unobs.size and not np.all(np.isin(unobs, (-1, 1))):
+    try:
+        unobs = np.asarray(unobserved, dtype=np.int8).reshape(len(unobserved), k)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigurationError(
+            f"unobserved combinations must be rows of {k} levels, got {unobserved!r}"
+        ) from None
+    if not np.all(np.isin(unobs, (-1, 1))):
         raise ConfigurationError("unobserved combinations must be coded -1/+1")
-    unobs_bits = set(int(b) for b in combination_bits(unobs)) if unobs.size else set()
-    if unobs.size and len(unobs_bits) != unobs.shape[0]:
+    unobs_bits = set(int(b) for b in combination_bits(unobs))
+    if len(unobs_bits) != unobs.shape[0]:
         raise ConfigurationError("duplicate unobserved combinations")
 
     all_bits = combination_bits(combos)

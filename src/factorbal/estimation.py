@@ -6,7 +6,8 @@ effective) contrast. Its asymptotic variance is estimated from the
 stacked estimating equation of the dual multipliers and the effect,
 plugging the fitted multipliers into the sandwich form; only the last
 coordinate of the sandwich is needed, which reduces to a single weighted
-sum of squares.
+sum of squares. All requested effects are estimated together, from one
+contrast matrix and one factorization of the curvature.
 """
 
 from __future__ import annotations
@@ -16,12 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .balance import BalanceSystem, balance_residuals, membership_vectors
+from .balance import BalanceSystem, balance_residuals
 from .data import Dataset
 from .design import Effect, FactorialDesign, interaction_value
 from .errors import BaselineError, ConfigurationError, VarianceError
 
 Z_CRIT_95 = 1.96
+MIN_CURVATURE_EIGENVALUE = 1e-10
+GRAM_BLOCK_UNITS = 4096
 
 
 @dataclass(frozen=True)
@@ -36,67 +39,50 @@ class EffectEstimate:
     n: int
 
 
-def _check_effect(effect: Effect, design: FactorialDesign) -> None:
-    if effect.order > design.k_prime:
-        raise ConfigurationError(
-            f"effect {effect.label()} has order {effect.order}, above the "
-            f"design's retained order {design.k_prime}"
-        )
+def _active_gram(B: np.ndarray, active: np.ndarray) -> np.ndarray:
+    """``B[:, active] @ B[:, active].T``, accumulated over blocks of units
+    so that no copy of all active columns of B is made at once."""
+    gram = np.zeros((B.shape[0], B.shape[0]))
+    for start in range(0, B.shape[1], GRAM_BLOCK_UNITS):
+        cols = slice(start, start + GRAM_BLOCK_UNITS)
+        sub = B[:, cols][:, active[cols]]
+        gram += sub @ sub.T
+    return gram
 
 
-def _contrast_coeffs(dataset: Dataset, effect: Effect, design: FactorialDesign) -> np.ndarray:
-    a_plus, a_minus = membership_vectors(effect, dataset.Z, design)
-    return a_plus - a_minus
-
-
-def estimate_effect(
+def weighted_estimates(
     dataset: Dataset,
-    weights: np.ndarray,
-    effect: Effect,
-    design: FactorialDesign,
-) -> EffectEstimate:
-    """Weighting point estimate (no variance) of one factorial effect."""
-    _check_effect(effect, design)
-    w = np.asarray(weights, dtype=float).ravel()
-    c = _contrast_coeffs(dataset, effect, design)
-    tau = float(np.mean(w * c * dataset.Y))
-    return EffectEstimate(effect, tau, None, None, None, dataset.n)
-
-
-def variance_estimate(
-    dataset: Dataset,
+    system: BalanceSystem,
     weights: np.ndarray,
     lam: np.ndarray,
-    system: BalanceSystem,
-    effect: Effect,
-    min_eigenvalue: float = 1e-10,
-) -> float:
-    """Consistent estimate of the asymptotic variance of sqrt(N)(tau_hat - tau).
+    effects: list[Effect],
+) -> list[EffectEstimate]:
+    """Point estimates, sandwich variances and normal 95% CIs of several
+    effects, all from the same weights in one pass.
 
-    Builds the per-unit estimating-equation residuals (dual gradient
-    contributions stacked with the centered effect contribution) and
-    contracts them with the last row of the inverted curvature matrix.
+    The point estimate of effect e is the mean of ``c_e * w * Y`` over
+    units, where ``c_e`` is the effect's (effective) contrast coefficient.
+    Its variance contracts the per-unit estimating-equation residuals
+    (dual gradient contributions stacked with the centered effect
+    contribution) with the last row of the inverted curvature matrix; the
+    curvature is factorized once and solved for every effect together.
     Raises ``VarianceError`` when that matrix is numerically singular,
     which typically means the system retains linearly dependent rows.
     """
-    _check_effect(effect, system.design)
-    B = system.B
+    if not effects:
+        return []
     n = system.n
     w = np.asarray(weights, dtype=float).ravel()
     lam = np.asarray(lam, dtype=float).ravel()
-    u = B.T @ lam
-    active = u < 0
+    C = system.design.contrasts(dataset.Z, effects)  # E x N
+    S = C * w * dataset.Y
+    tau = S.mean(axis=1)
 
-    c = _contrast_coeffs(dataset, effect, system.design)
-    s_i = w * c * dataset.Y
-    tau = float(np.mean(s_i))
-
-    B_act = B[:, active]
-    M = (B_act @ B_act.T) * (-0.5) / n
-    M = 0.5 * (M + M.T)
-    A = -M  # positive semidefinite curvature
+    B = system.B
+    active = B.T @ lam < 0
+    A = _active_gram(B, active) * 0.5 / n  # symmetric positive semidefinite curvature
     evals, evecs = np.linalg.eigh(A)
-    if evals.min() < min_eigenvalue:
+    if evals.min() < MIN_CURVATURE_EIGENVALUE:
         raise VarianceError(
             f"curvature matrix is singular (min eigenvalue {evals.min():.2e}); "
             "rebuild the balance system with drop_redundant=True or inspect "
@@ -109,34 +95,19 @@ def variance_estimate(
             "variance estimate may be unstable",
             stacklevel=2,
         )
-    r = -0.5 / n * (B_act @ (c[active] * dataset.Y[active]))
-    # first block of L: r' M^{-1} = -(r' A^{-1})
-    l1 = -(evecs @ ((evecs.T @ r) / evals))
+    # l_e = A^{-1} r_e with r_e = (1/2N) sum over active units of B_i c_e Y_i
+    R = 0.5 / n * (B @ (C * (dataset.Y * active)).T)  # P x E
+    L = evecs @ ((evecs.T @ R) / evals[:, None])
 
-    # psi'_i = B_i w_i - b_i stacked with the centered effect contribution
-    psi = B * w - system.unit_targets
-    contrib = psi.T @ l1 - (s_i - tau)
-    return float(np.mean(contrib**2))
+    # per unit: l_e'(B_i w_i - b_i) minus the centered effect contribution,
+    # without forming the P x N residuals B_i w_i - b_i
+    contrib = w * (L.T @ B) - L.T @ system.unit_targets - (S - tau[:, None])
+    sigma2 = np.mean(contrib**2, axis=1)
 
-
-def weighted_estimates(
-    dataset: Dataset,
-    system: BalanceSystem,
-    weights: np.ndarray,
-    lam: np.ndarray,
-    effects: list[Effect],
-) -> list[EffectEstimate]:
-    """Point estimates, variances and normal 95% CIs for several effects."""
     out = []
-    for e in effects:
-        point = estimate_effect(dataset, weights, e, system.design)
-        s2 = variance_estimate(dataset, weights, lam, system, e)
+    for e, t, s2 in zip(effects, tau, sigma2):
         half = Z_CRIT_95 * np.sqrt(s2 / dataset.n)
-        out.append(
-            EffectEstimate(
-                e, point.tau_hat, s2, point.tau_hat - half, point.tau_hat + half, dataset.n
-            )
-        )
+        out.append(EffectEstimate(e, float(t), float(s2), t - half, t + half, dataset.n))
     return out
 
 
@@ -162,7 +133,8 @@ def augmented_estimate(
     weighting estimate for any coefficient vector; if the residual is too
     large for that guarantee a warning is issued.
     """
-    _check_effect(effect, system.design)
+    design = system.design
+    c = design.contrasts(dataset.Z, [effect])[0]
     w = np.asarray(weights, dtype=float).ravel()
     alpha = np.asarray(ols_coeffs_on_q, dtype=float).ravel()
     if alpha.shape[0] != len(system.elements):
@@ -178,21 +150,15 @@ def augmented_estimate(
             stacklevel=2,
         )
 
-    design = system.design
     k = design.k
     fitted = system.element_values.T @ alpha  # q(X_i, Z_i)' alpha
     resid = dataset.Y - fitted
 
-    a_plus, a_minus = membership_vectors(effect, dataset.Z, design)
     n = dataset.n
 
     # randomized-design contrast of the fitted model:
     # (1/2^(k-1) N) sum_z g_z sum_i alpha' q(X_i, z), summed over observed z
-    g_row = (
-        np.ones(design.n_observed_cells)
-        if effect.members == ()
-        else design.effect_row(effect)
-    )
+    g_row = design.contrasts(design.observed, [effect])[0]
     basis_sums = system.basis_values.sum(axis=0)
     model_term = 0.0
     for (s, J), a in zip(system.elements, alpha):
@@ -200,7 +166,7 @@ def augmented_estimate(
         model_term += a * basis_sums[s] * float(g_row @ r_vals)
     model_term /= 2 ** (k - 1) * n
 
-    tau_w_resid = float(np.mean(w * (a_plus - a_minus) * resid))
+    tau_w_resid = float(np.mean(w * c * resid))
     return tau_w_resid + model_term
 
 
@@ -274,9 +240,7 @@ def smd_report(
     half_n = dataset.n / 2.0
     sds = dataset.X.std(axis=0, ddof=1)
     out: list[SmdRow] = []
-    for e in effect_set:
-        a_plus, a_minus = membership_vectors(e, dataset.Z, design)
-        contrast = a_plus - a_minus
+    for e, contrast in zip(effect_set, design.contrasts(dataset.Z, effect_set)):
         for j in range(dataset.d):
             if sds[j] <= 0:
                 out.append(SmdRow(e, j, None, None, skipped=True))

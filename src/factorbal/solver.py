@@ -20,10 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg as sla
-from scipy.optimize import linprog
 
 from .balance import BalanceSystem
-from .errors import InfeasibleProblemError
 
 CONVERGED = "converged"
 INFEASIBLE = "infeasible"
@@ -81,13 +79,6 @@ class DualSolution:
     @property
     def converged(self) -> bool:
         return self.status == CONVERGED
-
-
-def dual_objective(lam: np.ndarray, system: BalanceSystem) -> float:
-    """Value of the unconstrained concave dual at ``lam``."""
-    u = system.B.T @ np.asarray(lam, dtype=float)
-    neg = u < 0
-    return float(-0.25 * np.sum(u[neg] ** 2) - lam @ system.b)
 
 
 def _eval(lam, B, b):
@@ -188,102 +179,3 @@ def solve_dual(system: BalanceSystem, options: SolverOptions | None = None) -> D
         grad_norm=gnorm,
         objective_trace=tuple(trace),
     )
-
-
-def check_feasibility(system: BalanceSystem, tol: float = 1e-9) -> bool:
-    """Whether any nonnegative weight vector satisfies Bw = b exactly.
-
-    Runs a linear-programming phase-1 on the constraint system; this is
-    the infeasibility certificate backing the primal oracle.
-    """
-    B, b = system.B, system.b
-    scale = max(1.0, float(np.max(np.abs(b))))
-    res = linprog(
-        c=np.zeros(system.n),
-        A_eq=B,
-        b_eq=b,
-        bounds=(0, None),
-        method="highs",
-    )
-    if res.status == 2:
-        return False
-    if not res.success:
-        return False
-    return bool(np.max(np.abs(B @ res.x - b)) <= 1e-7 * scale)
-
-
-def primal_oracle(system: BalanceSystem, tol: float = 1e-9, max_pivots: int | None = None) -> np.ndarray:
-    """Direct active-set solution of min sum w_i^2, Bw = b, w >= 0.
-
-    Test-support oracle for small systems (hundreds of units): searches
-    over zero sets, solving each candidate's equality-constrained problem
-    through its normal equations, starting from a feasible vertex and the
-    unconstrained minimum-norm solution's sign pattern. Raises
-    ``InfeasibleProblemError`` when no feasible point exists.
-    """
-    B = system.B
-    b = system.b
-    p, n = B.shape
-    scale = max(1.0, float(np.max(np.abs(b))))
-    feas_tol = 1e-8 * scale
-
-    # unconstrained minimum-norm solution; feasible iff system is consistent
-    w_free = np.linalg.lstsq(B, b, rcond=None)[0]
-    if np.max(np.abs(B @ w_free - b)) > feas_tol:
-        raise InfeasibleProblemError(
-            "balance constraints are mutually inconsistent (no solution even "
-            "without the nonnegativity requirement)"
-        )
-    if np.all(w_free >= -tol * scale):
-        return np.maximum(w_free, 0.0)
-
-    res = linprog(
-        c=np.zeros(n), A_eq=B, b_eq=b, bounds=(0, None), method="highs"
-    )
-    if res.status == 2 or not res.success:
-        raise InfeasibleProblemError(
-            "no nonnegative weights satisfy the balance constraints"
-        )
-    w = np.maximum(res.x, 0.0)
-
-    def subproblem(free_mask):
-        """Minimum-norm solution constrained to the free support."""
-        cols = np.flatnonzero(free_mask)
-        u = np.zeros(n)
-        if cols.size:
-            sol, *_ = np.linalg.lstsq(B[:, cols], b, rcond=None)
-            u[cols] = sol
-        return u, cols
-
-    max_pivots = max_pivots or 20 * n
-    active = w <= tol * scale
-    for _ in range(max_pivots):
-        u, cols = subproblem(~active)
-        attained = np.max(np.abs(B @ u - b)) <= feas_tol
-        if attained and np.all(u[cols] >= -tol * scale):
-            # candidate optimum on this face: check multiplier signs
-            if cols.size:
-                lam, *_ = np.linalg.lstsq(B[:, cols].T, -2.0 * u[cols], rcond=None)
-            else:
-                lam = np.zeros(p)
-            reduced = lam @ B[:, active] if np.any(active) else np.array([])
-            if reduced.size == 0 or np.min(reduced) >= -1e-7 * scale:
-                return np.maximum(u, 0.0)
-            release = np.flatnonzero(active)[int(np.argmin(reduced))]
-            active[release] = False
-            w = u
-            continue
-        # move toward the face solution until a variable hits zero
-        direction = u - w
-        moving = direction < -tol * scale
-        if not np.any(moving):
-            active[~active & (np.abs(u) <= tol * scale)] = True
-            w = u
-            continue
-        steps = -w[moving] / direction[moving]
-        alpha = min(1.0, float(np.min(steps)))
-        w = w + alpha * direction
-        blocked = np.flatnonzero(moving)[steps <= alpha + 1e-12]
-        active[blocked] = True
-        w[blocked] = 0.0
-    raise RuntimeError("active-set oracle failed to converge; system too large?")

@@ -206,6 +206,40 @@ class TestEstimate:
         lines = (tmp_path / "cfg_effects.csv").read_text().strip().splitlines()
         assert len(lines) == 5  # header + 4 main effects
 
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--unobserved", "1,a,1,1,1"],  # non-integer level
+            ["--unobserved", "1,1"],  # two levels for five factors
+            ["--max-iters", "0"],  # rejected by the solver options
+        ],
+        ids=["non-integer-unobserved", "short-unobserved", "zero-max-iters"],
+    )
+    def test_bad_option_is_usage_error(self, tmp_path, capsys, extra):
+        rng = np.random.default_rng(3)
+        n = 64
+        Z = enumerate_combinations(5)[rng.integers(0, 32, n)]
+        X = rng.normal(size=(n, 1))
+        data = tmp_path / "five.csv"
+        write_csv(
+            data,
+            [f"t{j}" for j in range(1, 6)] + ["x1", "y"],
+            np.column_stack([Z, X, rng.normal(size=n)]).tolist(),
+        )
+        code = main(
+            [
+                "estimate",
+                "--data", str(data),
+                "--factors", "t1,t2,t3,t4,t5",
+                "--covariates", "x1",
+                "--outcome", "y",
+                "--out", str(tmp_path / "x"),
+                *extra,
+            ]
+        )
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestDiagnose:
     def test_round_trip_after_estimate(self, tmp_path):

@@ -213,6 +213,27 @@ class TestIncompleteDesign:
         with pytest.raises(ConfigurationError):
             des.effect_row(Effect((1, 2)))
 
+    def test_contrasts_gather_effective_rows(self):
+        des = build_incomplete_design(3, 2, [(1, 1, 1)])
+        rng = np.random.default_rng(4)
+        cells = rng.integers(0, 7, 40)
+        C = des.contrasts(enumerate_combinations(3)[cells], des.effects)
+        assert C.shape == (7, 40)
+        assert np.array_equal(C[0], np.ones(40))  # summary row
+        assert np.array_equal(C[1:], INCOMPLETE3[1:, cells])
+        with pytest.raises(ConfigurationError):
+            des.contrasts(enumerate_combinations(3)[:2], [Effect((1, 2, 3))])
+
+    def test_positions_reject_wrong_factor_count(self):
+        des = full_design(3, 2)
+        with pytest.raises(ConfigurationError):
+            des.observed_positions(np.array([[1, 1]]))
+
+    def test_unobserved_rows_must_match_factor_count(self):
+        for bad in ([(1, 1)], [(1, 1, 1), (1, 1)], [(1, "a", 1)]):
+            with pytest.raises(ConfigurationError):
+                build_incomplete_design(3, 2, bad)
+
 
 class TestInteractionValue:
     def test_empty_set_is_one(self):

@@ -7,6 +7,7 @@ from factorbal.balance import BasisSpec, build_balance_system
 from factorbal.data import Dataset
 from factorbal.design import (
     Effect,
+    build_incomplete_design,
     combination_bits,
     contrast_vector,
     effect_index_set,
@@ -16,12 +17,10 @@ from factorbal.design import (
 from factorbal.errors import BaselineError, ConfigurationError, VarianceError
 from factorbal.estimation import (
     augmented_estimate,
-    estimate_effect,
     fit_outcome_coeffs,
     ols_regression_baseline,
     smd_report,
     unadjusted_baseline,
-    variance_estimate,
     weighted_estimates,
 )
 from factorbal.simulation import Scenario, generate
@@ -44,14 +43,38 @@ def converged_fit(seed=0, n=400, flavor="heterogeneous", outcome="Y1"):
     raise RuntimeError("no converged fit found")
 
 
+def incomplete_fit(seed=0, n=600):
+    """Converged fit on three factors with cell (+1,+1,+1) never observed,
+    so the effective contrasts take values other than +-1."""
+    design = build_incomplete_design(3, 2, [(1, 1, 1)])
+    for attempt in range(10):
+        ds, _ = generate(Scenario("three_factor", n, "Y2", seed=seed + 1000 * attempt), 0)
+        keep = ~np.all(ds.Z == 1, axis=1)
+        ds = Dataset(ds.Z[keep], ds.X[keep], ds.Y[keep])
+        system = build_balance_system(ds, BasisSpec(), design, drop_redundant=True)
+        sol = solve_dual(system)
+        if sol.converged:
+            return ds, design, system, sol
+    raise RuntimeError("no converged fit found")
+
+
+def estimate(ds, system, sol, effect, weights=None):
+    """The single-effect result of ``weighted_estimates``."""
+    w = sol.weights if weights is None else weights
+    return weighted_estimates(ds, system, w, sol.lam, [effect])[0]
+
+
 class TestEstimateEffect:
     def test_unit_cell_design(self):
         Z = enumerate_combinations(2)
         ds = Dataset(Z, np.zeros((4, 1)), Z[:, 0].astype(float))
         design = full_design(2, 1)
+        spec = BasisSpec(covariate_bases=[lambda x: np.ones(x.shape[0])])
+        system = build_balance_system(ds, spec, design, drop_redundant="numeric")
+        sol = solve_dual(system)
         w = np.full(4, 2.0)
-        assert estimate_effect(ds, w, Effect((1,)), design).tau_hat == pytest.approx(2.0)
-        assert estimate_effect(ds, w, Effect((2,)), design).tau_hat == pytest.approx(0.0)
+        assert estimate(ds, system, sol, Effect((1,)), w).tau_hat == pytest.approx(2.0)
+        assert estimate(ds, system, sol, Effect((2,)), w).tau_hat == pytest.approx(0.0)
 
     def test_matches_cell_regrouping(self):
         # direct contrast of weighted per-cell outcome sums
@@ -63,7 +86,7 @@ class TestEstimateEffect:
             by_cell = np.zeros(8)
             np.add.at(by_cell, bits, w * ds.Y)
             expected = float(g @ by_cell) / ds.n
-            got = estimate_effect(ds, w, e, design).tau_hat
+            got = estimate(ds, system, sol, e).tau_hat
             assert got == pytest.approx(expected, rel=1e-12)
 
     @given(st.floats(-3, 3), st.floats(-3, 3))
@@ -71,14 +94,13 @@ class TestEstimateEffect:
     def test_linear_in_outcome(self, a, b):
         ds, design, system, sol = converged_fit(seed=7, n=200)
         e = Effect((2,))
-        t1 = estimate_effect(ds, sol.weights, e, design).tau_hat
+        t1 = estimate(ds, system, sol, e).tau_hat
         ds2 = Dataset(ds.Z, ds.X, a * ds.Y + b)
-        t2 = estimate_effect(ds2, sol.weights, e, design).tau_hat
         # the constant shifts cancel only through the computed side masses
-        sides = estimate_effect(ds2, sol.weights, e, design)
+        t2 = estimate(ds2, system, sol, e).tau_hat
         assert np.isfinite(t2)
         ds3 = Dataset(ds.Z, ds.X, a * ds.Y)
-        t3 = estimate_effect(ds3, sol.weights, e, design).tau_hat
+        t3 = estimate(ds3, system, sol, e).tau_hat
         assert t3 == pytest.approx(a * t1, rel=1e-9, abs=1e-9)
 
     def test_positive_and_negative_parts_nonnegative_weights(self):
@@ -88,7 +110,61 @@ class TestEstimateEffect:
     def test_effect_beyond_retained_order(self):
         ds, design, system, sol = converged_fit(seed=3, n=200)
         with pytest.raises(ConfigurationError):
-            estimate_effect(ds, sol.weights, Effect((1, 2)), design)
+            estimate(ds, system, sol, Effect((1, 2)))
+
+    @pytest.mark.parametrize("fit", [converged_fit, incomplete_fit])
+    def test_all_effects_match_one_at_a_time(self, fit):
+        # each effect's column of the joint pass is its own estimate
+        ds, design, system, sol = fit(seed=9)
+        effects = [e for e in design.effects if e.order > 0]
+        joint = weighted_estimates(ds, system, sol.weights, sol.lam, effects)
+        assert [r.effect for r in joint] == effects
+        for r in joint:
+            alone = estimate(ds, system, sol, r.effect)
+            assert r.tau_hat == alone.tau_hat
+            assert r.sigma2_hat == pytest.approx(alone.sigma2_hat, rel=1e-12)
+            assert (r.ci_low, r.ci_high) == pytest.approx((alone.ci_low, alone.ci_high))
+        # reversing the order only reverses the results
+        backward = weighted_estimates(ds, system, sol.weights, sol.lam, effects[::-1])
+        assert [r.tau_hat for r in backward] == [r.tau_hat for r in joint[::-1]]
+
+
+def check_finite_difference_sandwich(ds, system, sol, e, c):
+    """The closed-form variance of effect ``e``, whose per-unit contrast
+    coefficients are ``c``, against the sandwich built from a central
+    finite-difference Jacobian of the stacked estimating equations."""
+    tau = estimate(ds, system, sol, e).tau_hat
+    theta = np.concatenate([sol.lam, [tau]])
+    B, T = system.B, system.unit_targets
+
+    def eta_bar(th):
+        lam, t = th[:-1], th[-1]
+        u = B.T @ lam
+        w = np.where(u < 0, -0.5 * u, 0.0)
+        psi = B * w - T
+        top = psi.mean(axis=1)
+        bottom = np.mean(w * c * ds.Y - t)
+        return np.concatenate([top, [bottom]])
+
+    # guard: no unit close enough to the kink for the step to cross
+    u = B.T @ sol.lam
+    h = 1e-6
+    assert np.min(np.abs(u[np.abs(u) > 0])) > 10 * h * np.max(np.abs(B))
+
+    p = theta.size
+    H = np.zeros((p, p))
+    for j in range(p):
+        step = np.zeros(p)
+        step[j] = h
+        H[:, j] = (eta_bar(theta + step) - eta_bar(theta - step)) / (2 * h)
+    w = sol.weights
+    eta = np.vstack([B * w - T, (w * c * ds.Y - tau)[None, :]])
+    meat = (eta @ eta.T) / ds.n
+    Hinv = np.linalg.inv(H)
+    sandwich = Hinv @ meat @ Hinv.T
+    fd_value = sandwich[-1, -1]
+    direct = estimate(ds, system, sol, e).sigma2_hat
+    assert direct == pytest.approx(fd_value, rel=1e-4)
 
 
 class TestVariance:
@@ -103,58 +179,34 @@ class TestVariance:
         )
         sol = solve_dual(system)
         assert sol.converged
-        s2 = variance_estimate(ds, sol.weights, sol.lam, system, Effect((1,)))
+        s2 = estimate(ds, system, sol, Effect((1,))).sigma2_hat
         assert s2 == pytest.approx(0.0, abs=1e-18)
 
     def test_matches_finite_difference_sandwich(self):
         ds, design, system, sol = converged_fit(seed=13, n=150)
         e = Effect((1,))
-        tau = estimate_effect(ds, sol.weights, e, design).tau_hat
-        theta = np.concatenate([sol.lam, [tau]])
-        B, T = system.B, system.unit_targets
         c = contrast_vector(e, 3).astype(float)[combination_bits(ds.Z)]
+        check_finite_difference_sandwich(ds, system, sol, e, c)
 
-        def eta_bar(th):
-            lam, t = th[:-1], th[-1]
-            u = B.T @ lam
-            w = np.where(u < 0, -0.5 * u, 0.0)
-            psi = B * w - T
-            top = psi.mean(axis=1)
-            bottom = np.mean(w * c * ds.Y - t)
-            return np.concatenate([top, [bottom]])
-
-        # guard: no unit close enough to the kink for the step to cross
-        u = B.T @ sol.lam
-        h = 1e-6
-        assert np.min(np.abs(u[np.abs(u) > 0])) > 10 * h * np.max(np.abs(B))
-
-        p = theta.size
-        H = np.zeros((p, p))
-        for j in range(p):
-            step = np.zeros(p)
-            step[j] = h
-            H[:, j] = (eta_bar(theta + step) - eta_bar(theta - step)) / (2 * h)
-        u = B.T @ sol.lam
-        w = sol.weights
-        eta = np.vstack([B * w - T, (w * c * ds.Y - tau)[None, :]])
-        meat = (eta @ eta.T) / ds.n
-        Hinv = np.linalg.inv(H)
-        sandwich = Hinv @ meat @ Hinv.T
-        fd_value = sandwich[-1, -1]
-        direct = variance_estimate(ds, sol.weights, sol.lam, system, e)
-        assert direct == pytest.approx(fd_value, rel=1e-4)
+    @pytest.mark.parametrize("members", [(1,), (1, 2)])
+    def test_matches_finite_difference_sandwich_incomplete(self, members):
+        ds, design, system, sol = incomplete_fit(seed=13)
+        e = Effect(members)
+        c = design.effect_row(e)[design.observed_positions(ds.Z)]
+        assert set(np.unique(np.abs(c))) == {0.0, 2.0}  # not +-1 contrasts
+        check_finite_difference_sandwich(ds, system, sol, e, c)
 
     def test_variance_nonnegative(self):
         ds, design, system, sol = converged_fit(seed=17, n=200)
         for e in effect_index_set(3, 1):
-            assert variance_estimate(ds, sol.weights, sol.lam, system, e) >= 0
+            assert estimate(ds, system, sol, e).sigma2_hat >= 0
 
     def test_singular_curvature_rejected(self):
         ds, design, system, sol = converged_fit(seed=19, n=200)
         redundant = build_balance_system(ds, BasisSpec(), design)
         sol2 = solve_dual(redundant)
         with pytest.raises(VarianceError):
-            variance_estimate(ds, sol2.weights, sol2.lam, redundant, Effect((1,)))
+            estimate(ds, redundant, sol2, Effect((1,)))
 
     def test_ci_construction(self):
         ds, design, system, sol = converged_fit(seed=23, n=200)
@@ -170,14 +222,14 @@ class TestAugmented:
         ds, design, system, sol = converged_fit(seed=29, n=300)
         coeffs = fit_outcome_coeffs(ds, system)
         for e in effect_index_set(3, 1):
-            plain = estimate_effect(ds, sol.weights, e, design).tau_hat
+            plain = estimate(ds, system, sol, e).tau_hat
             aug = augmented_estimate(ds, sol.weights, system, e, coeffs)
             assert abs(aug - plain) <= 1e-8
 
     def test_zero_coefficients_reduce_to_plain(self):
         ds, design, system, sol = converged_fit(seed=31, n=200)
         e = Effect((3,))
-        plain = estimate_effect(ds, sol.weights, e, design).tau_hat
+        plain = estimate(ds, system, sol, e).tau_hat
         aug = augmented_estimate(
             ds, sol.weights, system, e, np.zeros(len(system.elements))
         )
@@ -187,7 +239,7 @@ class TestAugmented:
         ds, design, system, sol = converged_fit(seed=37, n=250)
         rng = np.random.default_rng(0)
         e = Effect((2,))
-        plain = estimate_effect(ds, sol.weights, e, design).tau_hat
+        plain = estimate(ds, system, sol, e).tau_hat
         for _ in range(5):
             coeffs = rng.normal(size=len(system.elements))
             aug = augmented_estimate(ds, sol.weights, system, e, coeffs)

@@ -9,12 +9,11 @@ from factorbal.data import Dataset
 from factorbal.design import build_incomplete_design, effect_index_set
 from factorbal.estimation import (
     augmented_estimate,
-    estimate_effect,
     fit_outcome_coeffs,
     smd_report,
+    weighted_estimates,
 )
 from factorbal.solver import solve_dual
-from factorbal.estimation import weighted_estimates
 
 TRUTH = {(1,): 2.0, (2,): 0.0, (3,): 0.0, (1, 2): 1.0, (1, 3): 0.0, (2, 3): 0.0}
 
@@ -73,10 +72,11 @@ class TestIncompleteEstimation:
     def test_augmented_equivalence_carries_over(self, incomplete_fit):
         ds, design, system, sol = incomplete_fit
         coeffs = fit_outcome_coeffs(ds, system)
-        for e in effect_index_set(3, 2)[:4]:
-            plain = estimate_effect(ds, sol.weights, e, design).tau_hat
+        effects = effect_index_set(3, 2)[:4]
+        plains = weighted_estimates(ds, system, sol.weights, sol.lam, effects)
+        for e, plain in zip(effects, plains):
             aug = augmented_estimate(ds, sol.weights, system, e, coeffs)
-            assert abs(aug - plain) <= 1e-8
+            assert abs(aug - plain.tau_hat) <= 1e-8
 
     def test_smd_diagnostics_improve(self, incomplete_fit):
         ds, design, system, sol = incomplete_fit

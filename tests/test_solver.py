@@ -7,13 +7,8 @@ from factorbal.balance import BasisSpec, balance_residuals, build_balance_system
 from factorbal.data import Dataset
 from factorbal.design import enumerate_combinations, full_design
 from factorbal.errors import InfeasibleProblemError
-from factorbal.solver import (
-    SolverOptions,
-    check_feasibility,
-    dual_objective,
-    primal_oracle,
-    solve_dual,
-)
+from factorbal.solver import SolverOptions, _eval, solve_dual
+from oracles import check_feasibility, primal_oracle
 
 
 def feasible_instance(seed, n=30, k=2, d=2, k_prime=1):
@@ -30,6 +25,10 @@ def feasible_instance(seed, n=30, k=2, d=2, k_prime=1):
         if check_feasibility(system):
             return ds, system
     raise RuntimeError("could not draw a feasible instance")
+
+
+def dual_objective(lam, system):
+    return _eval(np.asarray(lam, dtype=float), system.B, system.b)[3]
 
 
 def balanced_constant_system(k):
