@@ -13,11 +13,12 @@ design the implication fails, so both signed rows are kept.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, replace
+from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy import sparse
 
 from .data import Dataset
 from .design import Effect, FactorialDesign, SUMMARY, interaction_value
@@ -103,20 +104,26 @@ class ConstraintRow:
 
 @dataclass(frozen=True)
 class BalanceSystem:
-    """The stacked constraints Bw = b with per-unit decompositions.
+    """The stacked constraints Bw = b, kept in factored form.
 
-    ``B`` has one column per unit; ``unit_targets`` stacks the per-unit
-    target contributions, so ``b = unit_targets.sum(axis=1)``. ``rows``
-    carries provenance for each of the P rows. ``element_values`` holds
-    the raw balanced functions evaluated at each unit's own assignment
-    (used by regression adjustment).
+    Row r balances basis column ``basis_ids[r]`` (s_r) on one side of one
+    contrast, so its coefficient at unit i factors into a per-cell and a
+    per-unit part, ``B[r, i] = G[r, unit_cells[i]] * H[i, s_r]``, and so
+    does its target contribution, ``coef[r] * H[i, s_r]``; here
+    ``H = basis_values`` (N x S), ``G`` is P x observed cells and
+    ``unit_cells`` holds each unit's observed-cell index. Products with B
+    and the active curvature come from per-cell sums of H, so no P x N
+    array is formed; ``B``, ``unit_targets`` and ``element_values`` build
+    the dense arrays on demand, for inspection and tests. ``rows``
+    carries provenance for each of the P rows.
     """
 
-    B: np.ndarray
-    unit_targets: np.ndarray
+    G: np.ndarray
+    basis_ids: np.ndarray
+    coef: np.ndarray
+    unit_cells: np.ndarray
     rows: tuple[ConstraintRow, ...]
     elements: tuple[tuple[int, tuple[int, ...]], ...]
-    element_values: np.ndarray
     basis_values: np.ndarray
     basis_labels: tuple[str, ...]
     design: FactorialDesign
@@ -124,23 +131,90 @@ class BalanceSystem:
 
     @property
     def b(self) -> np.ndarray:
-        return self.unit_targets.sum(axis=1)
+        return self.coef * self.basis_values.sum(axis=0)[self.basis_ids]
 
     @property
     def n(self) -> int:
-        return self.B.shape[1]
+        return self.basis_values.shape[0]
 
     @property
     def p(self) -> int:
-        return self.B.shape[0]
+        return self.G.shape[0]
 
     def row_labels(self) -> list[str]:
         return [r.label(self.basis_labels) for r in self.rows]
 
+    @cached_property
+    def _lift(self) -> sparse.csr_matrix:
+        """N x (cells * S) sparse matrix holding ``H[i, s]`` at column
+        ``(unit_cells[i], s)``: its transpose takes per-cell sums of H."""
+        n, s_count = self.basis_values.shape
+        cols = self.unit_cells[:, None] * s_count + np.arange(s_count)
+        return sparse.csr_matrix(
+            (self.basis_values.ravel(), cols.ravel(), np.arange(0, n * s_count + 1, s_count)),
+            shape=(n, self.G.shape[1] * s_count),
+        )
 
-def _contrast_moment(part: np.ndarray, r_cells: np.ndarray, k: int) -> float:
-    """(1/2^(k-1)) * sum over observed cells of part * interaction value."""
-    return float(part @ r_cells) / 2 ** (k - 1)
+    @cached_property
+    def _spread(self) -> np.ndarray:
+        """P x (cells * S) matrix with ``G[r, c]`` at column ``(c, s_r)``,
+        so that ``B = _spread @ _lift.T``."""
+        p, cells = self.G.shape
+        out = np.zeros((p, cells, self.basis_values.shape[1]))
+        out[np.arange(p)[:, None], np.arange(cells), self.basis_ids[:, None]] = self.G
+        return out.reshape(p, -1)
+
+    def _cell_sums(self, v: np.ndarray) -> np.ndarray:
+        """Per-cell sums of ``v[i] * H[i, s]``: cells x S for a length-N
+        ``v``, cells x S x m for an N x m one."""
+        sums = self._lift.T @ v
+        return sums.reshape(self.G.shape[1], self.basis_values.shape[1], *v.shape[1:])
+
+    def cell_parts(self, v: np.ndarray) -> np.ndarray:
+        """``B @ v`` split by observed cell: entry (r, c) sums row r's terms
+        over cell c's units, so the row sums are ``B @ v``."""
+        return self.G * self._cell_sums(v)[:, self.basis_ids].T
+
+    def matvec(self, w: np.ndarray) -> np.ndarray:
+        """``B @ w``."""
+        return self._spread @ (self._lift.T @ w)
+
+    def rmatvec(self, lam: np.ndarray) -> np.ndarray:
+        """``B.T @ lam``; a P x E ``lam`` gives the N x E products."""
+        return self._lift @ (self._spread.T @ lam)
+
+    def active_gram(self, mask: np.ndarray) -> np.ndarray:
+        """``B[:, mask] @ B[:, mask].T`` (P x P).
+
+        Each cell's Gram matrix of H over its masked units is placed at
+        the rows' basis columns and scaled by G; one matmul sums the cells.
+        """
+        masked = self.basis_values * mask[:, None]
+        gram = self._cell_sums(masked)  # cells x S x S
+        weighted = self.G[:, :, None] * gram[:, self.basis_ids, :].transpose(1, 0, 2)
+        return weighted.reshape(self.p, -1) @ self._spread.T
+
+    def element_columns(self) -> np.ndarray:
+        """The balanced functions at each unit's own assignment (N x elements)."""
+        observed = self.design.observed
+        r_cells = np.array([interaction_value(observed, J) for _, J in self.elements])
+        ids = [s for s, _ in self.elements]
+        return self.basis_values[:, ids] * r_cells.T[self.unit_cells]
+
+    @property
+    def B(self) -> np.ndarray:
+        """Dense P x N coefficient matrix, built on each access."""
+        return self.G[:, self.unit_cells] * self.basis_values[:, self.basis_ids].T
+
+    @property
+    def unit_targets(self) -> np.ndarray:
+        """Dense P x N per-unit target contributions (row sums are ``b``)."""
+        return self.coef[:, None] * self.basis_values[:, self.basis_ids].T
+
+    @property
+    def element_values(self) -> np.ndarray:
+        """Dense elements x N values of the balanced functions."""
+        return self.element_columns().T
 
 
 def build_balance_system(
@@ -164,8 +238,8 @@ def build_balance_system(
             f"dataset has {dataset.k} factors but the design expects {design.k}"
         )
     H, labels = basis.evaluate(dataset.X)
+    unit_cells = design.observed_positions(dataset.Z)
     n, s_count = H.shape
-    k = design.k
     effects = [e for e in design.effects if e != SUMMARY]
     interactions = [e.members for e in effects]
 
@@ -186,22 +260,15 @@ def build_balance_system(
 
     cells = design.observed
     r_cells = {(): np.ones(cells.shape[0])}
-    r_units = {(): np.ones(n)}
 
     def rj_cells(J):
         if J not in r_cells:
             r_cells[J] = interaction_value(cells, J)
         return r_cells[J]
 
-    def rj_units(J):
-        if J not in r_units:
-            r_units[J] = interaction_value(dataset.Z, J)
-        return r_units[J]
-
-    # positive and negative contrast parts of each retained effect, at
-    # every unit (side memberships) and at every observed cell (targets)
+    # positive and negative contrast parts of each retained effect at
+    # every observed cell
     effect_pos = {e.members: i for i, e in enumerate(design.effects)}
-    unit_parts = split_contrast(design.contrasts(dataset.Z, design.effects))
     cell_parts = split_contrast(design.contrasts(cells, design.effects))
 
     keys = _row_keys(
@@ -211,42 +278,45 @@ def build_balance_system(
         keep = _structural_keep(keys)
         keys = [keys[i] for i in keep]
 
-    lhs_rows: list[np.ndarray] = []
-    target_rows: list[np.ndarray] = []
-    meta: list[ConstraintRow] = []
+    # row (K, s, J, sign) weighs basis column s by the K side's part of
+    # the contrast times the J interaction, both constant within a cell
+    g_rows: list[np.ndarray] = []
+    meta: list[tuple] = []
     for members, s, J, sign in keys:
-        side = 0 if sign > 0 else 1
-        a = unit_parts[side][effect_pos[members]]
-        g_part = cell_parts[side][effect_pos[members]]
+        g_part = cell_parts[0 if sign > 0 else 1][effect_pos[members]]
         if not design.complete and not np.any(g_part):
             continue
-        lhs = a * H[:, s] * rj_units(J)
-        coef = _contrast_moment(g_part, rj_cells(J), k)
-        tgt = coef * H[:, s]
-        lhs_rows.append(lhs)
-        target_rows.append(tgt)
-        meta.append(ConstraintRow(Effect(members), s, J, sign, float(tgt.sum())))
-
-    B = np.vstack(lhs_rows)
-    T = np.vstack(target_rows)
-
-    if drop_redundant and (not design.complete or drop_redundant == "numeric"):
-        keep = _numeric_keep(B, T)
-        B, T = B[keep], T[keep]
-        meta = [meta[i] for i in keep]
-
-    q_vals = np.vstack([H[:, s] * rj_units(J) for s, J in elements])
-    return BalanceSystem(
-        B=B,
-        unit_targets=T,
-        rows=tuple(meta),
+        g_rows.append(g_part * rj_cells(J))
+        meta.append((members, s, J, sign))
+    G = np.array(g_rows)
+    basis_ids = np.array([s for _, s, _, _ in meta], dtype=np.intp)
+    coef = G.sum(axis=1) / 2 ** (design.k - 1)
+    targets = coef * H.sum(axis=0)[basis_ids]
+    system = BalanceSystem(
+        G=G,
+        basis_ids=basis_ids,
+        coef=coef,
+        unit_cells=unit_cells,
+        rows=tuple(
+            ConstraintRow(Effect(members), s, J, sign, float(t))
+            for (members, s, J, sign), t in zip(meta, targets)
+        ),
         elements=tuple(elements),
-        element_values=q_vals,
         basis_values=H,
         basis_labels=tuple(labels),
         design=design,
         flavor=basis.model_flavor,
     )
+    if drop_redundant and (not design.complete or drop_redundant == "numeric"):
+        keep = _numeric_keep(system)
+        system = replace(
+            system,
+            G=G[keep],
+            basis_ids=basis_ids[keep],
+            coef=coef[keep],
+            rows=tuple(system.rows[i] for i in keep),
+        )
+    return system
 
 
 @lru_cache(maxsize=64)
@@ -338,21 +408,41 @@ def _structural_keep(keys) -> list[int]:
     return list(_structural_keep_cached(tuple(keys)))
 
 
-def _numeric_keep(B: np.ndarray, T: np.ndarray, tol: float = 1e-10) -> list[int]:
-    """Greedy independent subset of the stacked [coefficients | targets] rows."""
-    rows = np.hstack([B, T])
-    basis_vecs: list[np.ndarray] = []
+def _numeric_keep(system: BalanceSystem, tol: float = 1e-10) -> list[int]:
+    """Greedy independent subset of the stacked [coefficients | targets] rows.
+
+    Works on compressed rows with the same Gram matrix as ``[B | T]``:
+    with ``R_c`` the R factor of H over cell c's units and ``R_H`` that of
+    all of H, row r becomes ``[G[r, c] R_c[:, s_r]]_c ++ [coef_r R_H[:, s_r]]``,
+    (cells + 1) * S long whatever N is. Rows are taken in order and kept
+    when their component orthogonal to the kept ones (two classical
+    Gram-Schmidt passes) exceeds ``tol`` times their norm.
+    """
+    H, ids = system.basis_values, system.basis_ids
+    order = np.argsort(system.unit_cells, kind="stable")
+    bounds = np.cumsum(np.bincount(system.unit_cells, minlength=system.G.shape[1]))
+    blocks = [
+        system.G[:, [c]] * np.linalg.qr(H[unit], mode="r")[:, ids].T
+        for c, unit in enumerate(np.split(order, bounds[:-1]))
+    ]
+    blocks.append(system.coef[:, None] * np.linalg.qr(H, mode="r")[:, ids].T)
+    rows = np.hstack(blocks)
+
+    basis = np.empty((min(rows.shape), rows.shape[1]))
     keep: list[int] = []
-    for i in range(rows.shape[0]):
-        v = rows[i].copy()
+    for i, v in enumerate(rows):
         scale = np.linalg.norm(v)
         if scale == 0:
             continue
-        for q in basis_vecs:
-            v -= (q @ v) * q
-        if np.linalg.norm(v) > tol * scale:
-            basis_vecs.append(v / np.linalg.norm(v))
+        q = basis[: len(keep)]
+        for _ in range(2):
+            v = v - (q @ v) @ q
+        nrm = np.linalg.norm(v)
+        if nrm > tol * scale:
+            basis[len(keep)] = v / nrm
             keep.append(i)
+            if len(keep) == basis.shape[0]:
+                break
     return keep
 
 
@@ -378,7 +468,7 @@ def balance_residuals(weights: np.ndarray, system: BalanceSystem) -> ResidualRep
         raise ConfigurationError(
             f"weights have length {w.shape[0]}, expected {system.n}"
         )
-    res = system.B @ w - system.b
+    res = system.matvec(w) - system.b
     by_effect: dict[tuple[int, ...], float] = {}
     for row, r in zip(system.rows, res):
         m = row.effect.members

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -411,6 +412,9 @@ def main(argv: list[str] | None = None) -> int:
                 parser.error("--reps must be at least 1")
             if args.n < 100:
                 parser.error("--n must be at least 100")
+            cpus = os.cpu_count() or 1
+            if not 1 <= args.threads <= cpus:
+                parser.error(f"--threads must be between 1 and {cpus}")
             return cmd_simulate(args)
         parser.error(f"unknown command {args.command}")
     except IdentificationError as exc:

@@ -258,13 +258,16 @@ def build_incomplete_design(
 
     combos = enumerate_combinations(k)
     try:
-        unobs = np.asarray(unobserved, dtype=np.int8).reshape(len(unobserved), k)
-    except (TypeError, ValueError, OverflowError):
+        levels = np.asarray(unobserved, dtype=float).reshape(len(unobserved), k)
+    except (TypeError, ValueError):
         raise ConfigurationError(
             f"unobserved combinations must be rows of {k} levels, got {unobserved!r}"
         ) from None
-    if not np.all(np.isin(unobs, (-1, 1))):
-        raise ConfigurationError("unobserved combinations must be coded -1/+1")
+    if not np.all(np.isin(levels, (-1.0, 1.0))):
+        raise ConfigurationError(
+            f"unobserved combinations must be coded -1/+1, got {unobserved!r}"
+        )
+    unobs = levels.astype(np.int8)
     unobs_bits = set(int(b) for b in combination_bits(unobs))
     if len(unobs_bits) != unobs.shape[0]:
         raise ConfigurationError("duplicate unobserved combinations")

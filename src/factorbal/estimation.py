@@ -12,6 +12,7 @@ contrast matrix and one factorization of the curvature.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -24,7 +25,6 @@ from .errors import BaselineError, ConfigurationError, VarianceError
 
 Z_CRIT_95 = 1.96
 MIN_CURVATURE_EIGENVALUE = 1e-10
-GRAM_BLOCK_UNITS = 4096
 
 
 @dataclass(frozen=True)
@@ -37,17 +37,6 @@ class EffectEstimate:
     ci_low: float | None
     ci_high: float | None
     n: int
-
-
-def _active_gram(B: np.ndarray, active: np.ndarray) -> np.ndarray:
-    """``B[:, active] @ B[:, active].T``, accumulated over blocks of units
-    so that no copy of all active columns of B is made at once."""
-    gram = np.zeros((B.shape[0], B.shape[0]))
-    for start in range(0, B.shape[1], GRAM_BLOCK_UNITS):
-        cols = slice(start, start + GRAM_BLOCK_UNITS)
-        sub = B[:, cols][:, active[cols]]
-        gram += sub @ sub.T
-    return gram
 
 
 def weighted_estimates(
@@ -78,9 +67,8 @@ def weighted_estimates(
     S = C * w * dataset.Y
     tau = S.mean(axis=1)
 
-    B = system.B
-    active = B.T @ lam < 0
-    A = _active_gram(B, active) * 0.5 / n  # symmetric positive semidefinite curvature
+    active = system.rmatvec(lam) < 0
+    A = system.active_gram(active) * 0.5 / n  # symmetric positive semidefinite curvature
     evals, evecs = np.linalg.eigh(A)
     if evals.min() < MIN_CURVATURE_EIGENVALUE:
         raise VarianceError(
@@ -95,25 +83,32 @@ def weighted_estimates(
             "variance estimate may be unstable",
             stacklevel=2,
         )
-    # l_e = A^{-1} r_e with r_e = (1/2N) sum over active units of B_i c_e Y_i
-    R = 0.5 / n * (B @ (C * (dataset.Y * active)).T)  # P x E
+    # l_e = A^{-1} r_e with r_e = (1/2N) sum over active units of B_i c_e Y_i;
+    # c_e is constant within a cell, so r_e contracts B's per-cell parts
+    design = system.design
+    cell_contrasts = design.contrasts(design.observed, effects)  # E x cells
+    R = 0.5 / n * (system.cell_parts(dataset.Y * active) @ cell_contrasts.T)  # P x E
     L = evecs @ ((evecs.T @ R) / evals[:, None])
 
     # per unit: l_e'(B_i w_i - b_i) minus the centered effect contribution,
-    # without forming the P x N residuals B_i w_i - b_i
-    contrib = w * (L.T @ B) - L.T @ system.unit_targets - (S - tau[:, None])
-    sigma2 = np.mean(contrib**2, axis=1)
+    # without forming the P x N residuals B_i w_i - b_i; l_e'b_i is
+    # sum_r l_er coef_r H[i, s_r], grouped by basis column
+    K = np.zeros((system.basis_values.shape[1], len(effects)))
+    np.add.at(K, system.basis_ids, system.coef[:, None] * L)
+    contrib = w[:, None] * system.rmatvec(L) - system.basis_values @ K - (S - tau[:, None]).T
+    sigma2 = np.mean(contrib**2, axis=0)
 
     out = []
     for e, t, s2 in zip(effects, tau, sigma2):
-        half = Z_CRIT_95 * np.sqrt(s2 / dataset.n)
-        out.append(EffectEstimate(e, float(t), float(s2), t - half, t + half, dataset.n))
+        t, s2 = float(t), float(s2)
+        half = Z_CRIT_95 * math.sqrt(s2 / dataset.n)
+        out.append(EffectEstimate(e, t, s2, t - half, t + half, dataset.n))
     return out
 
 
 def fit_outcome_coeffs(dataset: Dataset, system: BalanceSystem) -> np.ndarray:
     """Least-squares coefficients of the outcome on the balanced functions."""
-    Q = system.element_values.T  # N x E
+    Q = system.element_columns()  # N x elements
     coef, *_ = np.linalg.lstsq(Q, dataset.Y, rcond=None)
     return coef
 
@@ -151,7 +146,7 @@ def augmented_estimate(
         )
 
     k = design.k
-    fitted = system.element_values.T @ alpha  # q(X_i, Z_i)' alpha
+    fitted = system.element_columns() @ alpha  # q(X_i, Z_i)' alpha
     resid = dataset.Y - fitted
 
     n = dataset.n

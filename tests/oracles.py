@@ -1,8 +1,10 @@
-"""Test references for the dual solver on small balance systems.
+"""Test references for the balance system and the dual solver.
 
 ``check_feasibility`` decides by linear programming whether any
 nonnegative weights satisfy Bw = b; ``primal_oracle`` solves the primal
 minimum-dispersion problem directly by an active-set search.
+``DenseOperator`` and ``numeric_keep`` are the balance operator and the
+redundancy filter computed from the system's dense P x N views.
 """
 
 import numpy as np
@@ -107,3 +109,41 @@ def primal_oracle(system: BalanceSystem, tol: float = 1e-9, max_pivots: int | No
         active[blocked] = True
         w[blocked] = 0.0
     raise RuntimeError("active-set oracle failed to converge; system too large?")
+
+
+class DenseOperator:
+    """The balance operator of ``system`` from its dense views ``B`` and
+    ``unit_targets``; ``solve_dual`` accepts it in place of the system."""
+
+    def __init__(self, system: BalanceSystem):
+        self.B = system.B
+        self.b = system.unit_targets.sum(axis=1)
+        self.p, self.n = self.B.shape
+
+    def matvec(self, w):
+        return self.B @ w
+
+    def rmatvec(self, lam):
+        return self.B.T @ lam
+
+    def active_gram(self, mask):
+        B_act = self.B[:, mask]
+        return B_act @ B_act.T
+
+
+def numeric_keep(B: np.ndarray, T: np.ndarray, tol: float = 1e-10) -> list[int]:
+    """Greedy independent subset of the stacked [coefficients | targets] rows."""
+    rows = np.hstack([B, T])
+    basis_vecs: list[np.ndarray] = []
+    keep: list[int] = []
+    for i in range(rows.shape[0]):
+        v = rows[i].copy()
+        scale = np.linalg.norm(v)
+        if scale == 0:
+            continue
+        for q in basis_vecs:
+            v -= (q @ v) * q
+        if np.linalg.norm(v) > tol * scale:
+            basis_vecs.append(v / np.linalg.norm(v))
+            keep.append(i)
+    return keep

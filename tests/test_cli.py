@@ -1,10 +1,12 @@
 import csv
 import json
+import os
 
 import numpy as np
 import pytest
 from scipy.special import expit
 
+from factorbal import cli
 from factorbal.cli import (
     EXIT_DATA,
     EXIT_IDENTIFICATION,
@@ -206,6 +208,26 @@ class TestEstimate:
         lines = (tmp_path / "cfg_effects.csv").read_text().strip().splitlines()
         assert len(lines) == 5  # header + 4 main effects
 
+    def test_fractional_unobserved_in_config_is_usage_error(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        make_survey_like(data, n=400, seed=8)
+        cfg = tmp_path / "run.json"
+        cfg.write_text(
+            json.dumps(
+                {
+                    "data_path": str(data),
+                    "factor_columns": ["t1", "t2", "t3", "t4"],
+                    "covariate_columns": ["x1", "x2"],
+                    "outcome_column": "y",
+                    "unobserved_combinations": [[1.7, 1, 1, 1]],
+                    "out_prefix": str(tmp_path / "cfg"),
+                }
+            )
+        )
+        assert main(["estimate", "--config", str(cfg)]) == EXIT_DATA
+        assert "-1/+1" in capsys.readouterr().err
+        assert not (tmp_path / "cfg_effects.csv").exists()
+
     @pytest.mark.parametrize(
         "extra",
         [
@@ -331,6 +353,23 @@ class TestSimulate:
                     "simulate",
                     "--scenario", "three-factor",
                     "--reps", "0",
+                    "--out", str(tmp_path / "s"),
+                ]
+            )
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("threads", [0, -1, (os.cpu_count() or 1) + 1])
+    def test_threads_out_of_range_usage_error(self, tmp_path, monkeypatch, threads):
+        def no_study(*args, **kwargs):
+            raise AssertionError("run_study called")
+
+        monkeypatch.setattr(cli, "run_study", no_study)
+        with pytest.raises(SystemExit) as exc:
+            main(
+                [
+                    "simulate",
+                    "--scenario", "three-factor",
+                    "--threads", str(threads),
                     "--out", str(tmp_path / "s"),
                 ]
             )

@@ -234,6 +234,13 @@ class TestIncompleteDesign:
             with pytest.raises(ConfigurationError):
                 build_incomplete_design(3, 2, bad)
 
+    def test_fractional_unobserved_levels_rejected(self):
+        for bad in ([(1.7, 1, 1)], [(-1.2, 1, 1)], [(1, 1, 1), (1, 0.5, 1)], [(1, 300, 1)]):
+            with pytest.raises(ConfigurationError, match="-1/\\+1"):
+                build_incomplete_design(3, 2, bad)
+        exact = build_incomplete_design(3, 2, [(1.0, 1.0, 1.0)])
+        assert np.array_equal(exact.unobserved, [[1, 1, 1]])
+
 
 class TestInteractionValue:
     def test_empty_set_is_one(self):

@@ -216,6 +216,12 @@ class TestVariance:
             assert est.ci_low == pytest.approx(est.tau_hat - half)
             assert est.ci_high == pytest.approx(est.tau_hat + half)
 
+    def test_fields_are_python_floats(self):
+        ds, design, system, sol = converged_fit(seed=23, n=200)
+        for est in weighted_estimates(ds, system, sol.weights, sol.lam, effect_index_set(3, 1)):
+            for value in (est.tau_hat, est.sigma2_hat, est.ci_low, est.ci_high):
+                assert type(value) is float
+
 
 class TestAugmented:
     def test_equals_plain_with_fitted_coeffs(self):

@@ -7,7 +7,8 @@ from factorbal.balance import BasisSpec, balance_residuals, build_balance_system
 from factorbal.data import Dataset
 from factorbal.design import enumerate_combinations, full_design
 from factorbal.errors import InfeasibleProblemError
-from factorbal.solver import SolverOptions, _eval, solve_dual
+from factorbal.simulation import Scenario, generate
+from factorbal.solver import ROUNDOFF, SolverOptions, _eval, solve_dual
 from oracles import check_feasibility, primal_oracle
 
 
@@ -28,7 +29,7 @@ def feasible_instance(seed, n=30, k=2, d=2, k_prime=1):
 
 
 def dual_objective(lam, system):
-    return _eval(np.asarray(lam, dtype=float), system.B, system.b)[3]
+    return _eval(np.asarray(lam, dtype=float), system, system.b)[3]
 
 
 def balanced_constant_system(k):
@@ -45,9 +46,7 @@ class TestDualObjective:
 
     def test_zero_targets_inactive_region(self):
         _, system = feasible_instance(2)
-        zeroed = dataclasses.replace(
-            system, unit_targets=np.zeros_like(system.unit_targets)
-        )
+        zeroed = dataclasses.replace(system, coef=np.zeros_like(system.coef))
         # any multiplier keeping lam'B_i >= 0 for all units scores zero
         lam = np.zeros(system.p)
         found = None
@@ -124,13 +123,25 @@ class TestSolveDual:
         rng = np.random.default_rng(7)
         scale = rng.uniform(0.2, 5.0, system.p)
         scaled = dataclasses.replace(
-            system,
-            B=system.B * scale[:, None],
-            unit_targets=system.unit_targets * scale[:, None],
+            system, G=system.G * scale[:, None], coef=system.coef * scale
         )
         sol2 = solve_dual(scaled)
         assert sol2.converged
         assert np.max(np.abs(sol.weights - sol2.weights)) < 1e-6
+
+    def test_roundoff_level_steps_must_lower_the_gradient(self):
+        # rows scaled by 1e3 put the last Newton steps' objective changes
+        # within roundoff; accepting them regardless of the gradient left
+        # the solver stepping in place until max_iters
+        ds, _ = generate(Scenario("five_factor", 2000, "Y2", seed=0), 0)
+        system = build_balance_system(ds, BasisSpec(), full_design(5, 2), drop_redundant=True)
+        scaled = dataclasses.replace(system, G=system.G * 1e3, coef=system.coef * 1e3)
+        sol = solve_dual(scaled, SolverOptions(max_iters=60))
+        assert sol.converged
+        assert sol.iterations <= 20
+        assert balance_residuals(sol.weights, scaled).max_abs <= sol.grad_norm
+        trace = np.array(sol.objective_trace)
+        assert np.all(np.diff(trace) >= -ROUNDOFF * np.maximum(1.0, np.abs(trace[:-1])))
 
     def test_converges_within_iteration_budget(self):
         _, system = feasible_instance(8)
