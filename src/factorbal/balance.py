@@ -147,13 +147,18 @@ class BalanceSystem:
     @cached_property
     def _lift(self) -> sparse.csr_matrix:
         """N x (cells * S) sparse matrix holding ``H[i, s]`` at column
-        ``(unit_cells[i], s)``: its transpose takes per-cell sums of H."""
+        ``(unit_cells[i], s)``."""
         n, s_count = self.basis_values.shape
         cols = self.unit_cells[:, None] * s_count + np.arange(s_count)
         return sparse.csr_matrix(
             (self.basis_values.ravel(), cols.ravel(), np.arange(0, n * s_count + 1, s_count)),
             shape=(n, self.G.shape[1] * s_count),
         )
+
+    @cached_property
+    def _lift_t(self) -> sparse.csc_matrix:
+        """``_lift.T``, kept as one CSC view: it sums per cell."""
+        return self._lift.T
 
     @cached_property
     def _spread(self) -> np.ndarray:
@@ -167,7 +172,7 @@ class BalanceSystem:
     def _cell_sums(self, v: np.ndarray) -> np.ndarray:
         """Per-cell sums of ``v[i] * H[i, s]``: cells x S for a length-N
         ``v``, cells x S x m for an N x m one."""
-        sums = self._lift.T @ v
+        sums = self._lift_t @ v
         return sums.reshape(self.G.shape[1], self.basis_values.shape[1], *v.shape[1:])
 
     def cell_parts(self, v: np.ndarray) -> np.ndarray:
@@ -177,7 +182,7 @@ class BalanceSystem:
 
     def matvec(self, w: np.ndarray) -> np.ndarray:
         """``B @ w``."""
-        return self._spread @ (self._lift.T @ w)
+        return self._spread @ (self._lift_t @ w)
 
     def rmatvec(self, lam: np.ndarray) -> np.ndarray:
         """``B.T @ lam``; a P x E ``lam`` gives the N x E products."""
@@ -364,36 +369,18 @@ def _structural_keep_cached(keys: tuple[tuple, ...]) -> tuple[int, ...]:
     term_index: dict[tuple, int] = {}
 
     def tid(s, M):
-        key = (s, tuple(sorted(M)))
-        if key not in term_index:
-            term_index[key] = len(term_index)
-        return term_index[key]
+        return term_index.setdefault((s, tuple(sorted(M))), len(term_index))
 
-    expansions = []
+    # a summary row is its J term; an effect-K row is half its J term plus
+    # half its symmetric-difference term
+    pairs = []
     for members, s, J, _sign in keys:
-        if not members:
-            expansions.append({tid(s, J): 1.0})
-        else:
-            M = tuple(sorted(set(members).symmetric_difference(J)))
-            e1, e2 = tid(s, J), tid(s, M)
-            exp = {e1: 0.5}
-            exp[e2] = exp.get(e2, 0.0) + 0.5
-            expansions.append(exp)
-
-    dim = len(term_index)
-    basis_vecs: list[np.ndarray] = []
-    keep: list[int] = []
-    for i, exp in enumerate(expansions):
-        v = np.zeros(dim)
-        for t, c in exp.items():
-            v[t] = c
-        for q in basis_vecs:
-            v -= (q @ v) * q
-        nrm = np.linalg.norm(v)
-        if nrm > 1e-10:
-            basis_vecs.append(v / nrm)
-            keep.append(i)
-    return tuple(keep)
+        M = tuple(sorted(set(members).symmetric_difference(J))) if members else J
+        pairs.append((tid(s, J), tid(s, M)))
+    rows = np.zeros((len(keys), len(term_index)))
+    for col in np.array(pairs).T:
+        np.add.at(rows, (np.arange(len(keys)), col), 0.5)
+    return tuple(_greedy_keep(rows, 1e-10))
 
 
 def _structural_keep(keys) -> list[int]:
@@ -414,9 +401,7 @@ def _numeric_keep(system: BalanceSystem, tol: float = 1e-10) -> list[int]:
     Works on compressed rows with the same Gram matrix as ``[B | T]``:
     with ``R_c`` the R factor of H over cell c's units and ``R_H`` that of
     all of H, row r becomes ``[G[r, c] R_c[:, s_r]]_c ++ [coef_r R_H[:, s_r]]``,
-    (cells + 1) * S long whatever N is. Rows are taken in order and kept
-    when their component orthogonal to the kept ones (two classical
-    Gram-Schmidt passes) exceeds ``tol`` times their norm.
+    (cells + 1) * S long whatever N is, then kept by ``_greedy_keep``.
     """
     H, ids = system.basis_values, system.basis_ids
     order = np.argsort(system.unit_cells, kind="stable")
@@ -426,8 +411,14 @@ def _numeric_keep(system: BalanceSystem, tol: float = 1e-10) -> list[int]:
         for c, unit in enumerate(np.split(order, bounds[:-1]))
     ]
     blocks.append(system.coef[:, None] * np.linalg.qr(H, mode="r")[:, ids].T)
-    rows = np.hstack(blocks)
+    return _greedy_keep(np.hstack(blocks), tol)
 
+
+def _greedy_keep(rows: np.ndarray, tol: float) -> list[int]:
+    """Indices of the rows, taken in order, whose component orthogonal to
+    the kept ones (two classical Gram-Schmidt passes against the kept
+    rows as a matrix) exceeds ``tol`` times their norm; zero rows are
+    skipped."""
     basis = np.empty((min(rows.shape), rows.shape[1]))
     keep: list[int] = []
     for i, v in enumerate(rows):

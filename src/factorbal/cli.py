@@ -36,7 +36,7 @@ from .errors import (
 )
 from .estimation import smd_report, weighted_estimates
 from .simulation import ESTIMATORS, Scenario, run_study
-from .solver import INFEASIBLE, SolverOptions, solve_dual
+from .solver import INFEASIBLE, STALLED, SolverOptions, solve_dual, stall_tolerance
 
 EXIT_OK = 0
 EXIT_DATA = 2
@@ -201,11 +201,19 @@ def cmd_estimate(config: RunConfig) -> int:
         return EXIT_INFEASIBLE
     if not solution.converged:
         print(
-            f"error: solver stopped after {solution.iterations} iterations with "
+            f"error: solver stopped ({solution.stop_reason}) after "
+            f"{solution.iterations} iterations with "
             f"gradient norm {solution.grad_norm:.3e}",
             file=sys.stderr,
         )
         return EXIT_NONCONVERGENCE
+    if solution.stop_reason == STALLED:
+        print(
+            "note: solver line search stalled; converged at the stall tolerance "
+            f"1e-7*(1+max|b|) = {stall_tolerance(system.b):.3e} "
+            f"(gradient norm {solution.grad_norm:.3e})",
+            file=sys.stderr,
+        )
     effects = effect_index_set(dataset.k, design.k_prime)
     estimates = weighted_estimates(dataset, system, solution.weights, solution.lam, effects)
     written = _write_effects(config.out_prefix, config.out_format, estimates)

@@ -64,8 +64,8 @@ def weighted_estimates(
     w = np.asarray(weights, dtype=float).ravel()
     lam = np.asarray(lam, dtype=float).ravel()
     C = system.design.contrasts(dataset.Z, effects)  # E x N
-    S = C * w * dataset.Y
-    tau = S.mean(axis=1)
+    S = C * (w * dataset.Y)
+    tau = S.sum(axis=1) / n
 
     active = system.rmatvec(lam) < 0
     A = system.active_gram(active) * 0.5 / n  # symmetric positive semidefinite curvature
@@ -91,12 +91,17 @@ def weighted_estimates(
     L = evecs @ ((evecs.T @ R) / evals[:, None])
 
     # per unit: l_e'(B_i w_i - b_i) minus the centered effect contribution,
-    # without forming the P x N residuals B_i w_i - b_i; l_e'b_i is
-    # sum_r l_er coef_r H[i, s_r], grouped by basis column
+    # built in one N x E buffer without forming the P x N residuals
+    # B_i w_i - b_i; l_e'b_i is sum_r l_er coef_r H[i, s_r], grouped by
+    # basis column
     K = np.zeros((system.basis_values.shape[1], len(effects)))
     np.add.at(K, system.basis_ids, system.coef[:, None] * L)
-    contrib = w[:, None] * system.rmatvec(L) - system.basis_values @ K - (S - tau[:, None]).T
-    sigma2 = np.mean(contrib**2, axis=0)
+    contrib = system.rmatvec(L)
+    contrib *= w[:, None]
+    contrib -= system.basis_values @ K
+    contrib -= S.T
+    contrib += tau
+    sigma2 = np.einsum("ie,ie->e", contrib, contrib) / n
 
     out = []
     for e, t, s2 in zip(effects, tau, sigma2):

@@ -12,6 +12,13 @@ whose gradient equals B w(lam) - b with w_i(lam) = max(0, -lam' B_i)/2.
 A semismooth Newton iteration with backtracking line search (gradient
 ascent as fallback) drives the gradient to zero; unbounded growth of the
 multipliers certifies primal infeasibility.
+
+Units at the kink (lam' B_i = 0) count as active in the generalized
+Hessian -(1/2) B_act B_act', which is a valid element of the generalized
+Jacobian there. So the first step from lam = 0 is the all-active Newton
+step, whose weights are the minimum-norm solution B'(BB')^{-1} b; when
+those are nonnegative the solve ends after one iteration. Every solution
+records which rule stopped the iteration (``stop_reason``).
 """
 
 from __future__ import annotations
@@ -26,6 +33,11 @@ from .balance import BalanceSystem
 CONVERGED = "converged"
 INFEASIBLE = "infeasible"
 MAX_ITERS = "max_iters"
+# stop reasons: gradient below tolerance, no ascent step at floating
+# precision, multipliers past the divergence bound, iteration budget spent
+GRADIENT = "gradient"
+STALLED = "stalled"
+DIVERGED = "diverged"
 # objective changes this small relative to the objective are roundoff
 ROUNDOFF = 8 * np.finfo(float).eps
 
@@ -68,7 +80,11 @@ class DualSolution:
     ``objective_trace`` records the dual objective at the start and after
     every accepted line-search step (non-decreasing up to roundoff: a step
     whose objective change is within roundoff is accepted when it lowers
-    the gradient max-norm).
+    the gradient max-norm). ``stop_reason`` names the rule that ended the
+    iteration: ``gradient`` (max-norm below ``grad_tol``), ``stalled`` (no
+    ascent step at floating precision; the status is ``converged`` if the
+    gradient meets ``stall_tolerance(b)``), ``diverged`` (multipliers past
+    ``divergence_norm``) or ``max_iters``.
     """
 
     lam: np.ndarray
@@ -78,6 +94,7 @@ class DualSolution:
     iterations: int
     status: str
     grad_norm: float
+    stop_reason: str
     objective_trace: tuple[float, ...] = ()
 
     @property
@@ -85,11 +102,16 @@ class DualSolution:
         return self.status == CONVERGED
 
 
+def stall_tolerance(b: np.ndarray) -> float:
+    """Gradient max-norm at which a stalled line search counts as converged."""
+    return 1e-7 * (1 + float(np.max(np.abs(b), initial=0.0)))
+
+
 def _eval(lam, system, b):
     u = system.rmatvec(lam)
-    neg = u < 0
+    neg = u <= 0  # units at the kink are active: w_i = 0 there either way
     w = np.where(neg, -0.5 * u, 0.0)
-    obj = -0.25 * float(u[neg] @ u[neg]) - float(lam @ b)
+    obj = -float(w @ w) - float(lam @ b)
     grad = system.matvec(w) - b
     return u, neg, w, obj, grad
 
@@ -137,14 +159,14 @@ def solve_dual(system: BalanceSystem, options: SolverOptions | None = None) -> D
     u, neg, w, obj, grad = _eval(lam, system, b)
     trace = [obj]
     iters = 0
-    status = MAX_ITERS
+    status, reason = MAX_ITERS, MAX_ITERS
     while iters < opts.max_iters:
         gnorm = float(np.max(np.abs(grad), initial=0.0))
         if gnorm <= tol:
-            status = CONVERGED
+            status, reason = CONVERGED, GRADIENT
             break
         if np.max(np.abs(lam), initial=0.0) > opts.divergence_norm:
-            status = INFEASIBLE
+            status, reason = INFEASIBLE, DIVERGED
             break
         d = _newton_direction(system, neg, grad, opts.hessian_regularization)
         if d is None:
@@ -169,9 +191,10 @@ def solve_dual(system: BalanceSystem, options: SolverOptions | None = None) -> D
             step *= opts.line_search_shrink
         iters += 1
         if not accepted:
-            # no ascent possible at floating precision; treat as converged
-            # if the residual is small, otherwise report the stall
-            status = CONVERGED if gnorm <= max(tol, 1e-7 * (1 + np.max(np.abs(b)))) else MAX_ITERS
+            # no ascent possible at floating precision; converged if the
+            # residual meets the stall tolerance, otherwise max_iters
+            reason = STALLED
+            status = CONVERGED if gnorm <= max(tol, stall_tolerance(b)) else MAX_ITERS
             break
 
     gnorm = float(np.max(np.abs(grad), initial=0.0))
@@ -186,5 +209,6 @@ def solve_dual(system: BalanceSystem, options: SolverOptions | None = None) -> D
         iterations=iters,
         status=status,
         grad_norm=gnorm,
+        stop_reason=reason,
         objective_trace=tuple(trace),
     )

@@ -4,7 +4,8 @@
 nonnegative weights satisfy Bw = b; ``primal_oracle`` solves the primal
 minimum-dispersion problem directly by an active-set search.
 ``DenseOperator`` and ``numeric_keep`` are the balance operator and the
-redundancy filter computed from the system's dense P x N views.
+redundancy filter computed from the system's dense P x N views;
+``structural_keep`` is the structural filter as a per-vector loop.
 """
 
 import numpy as np
@@ -145,5 +146,44 @@ def numeric_keep(B: np.ndarray, T: np.ndarray, tol: float = 1e-10) -> list[int]:
             v -= (q @ v) * q
         if np.linalg.norm(v) > tol * scale:
             basis_vecs.append(v / np.linalg.norm(v))
+            keep.append(i)
+    return keep
+
+
+def structural_keep(keys) -> list[int]:
+    """Greedy independent subset of rows given by their keys, projecting
+    each row's (basis, interaction) term expansion against every kept
+    vector in turn."""
+    term_index: dict[tuple, int] = {}
+
+    def tid(s, M):
+        key = (s, tuple(sorted(M)))
+        if key not in term_index:
+            term_index[key] = len(term_index)
+        return term_index[key]
+
+    expansions = []
+    for members, s, J, _sign in keys:
+        if not members:
+            expansions.append({tid(s, J): 1.0})
+        else:
+            M = tuple(sorted(set(members).symmetric_difference(J)))
+            e1, e2 = tid(s, J), tid(s, M)
+            exp = {e1: 0.5}
+            exp[e2] = exp.get(e2, 0.0) + 0.5
+            expansions.append(exp)
+
+    dim = len(term_index)
+    basis_vecs: list[np.ndarray] = []
+    keep: list[int] = []
+    for i, exp in enumerate(expansions):
+        v = np.zeros(dim)
+        for t, c in exp.items():
+            v[t] = c
+        for q in basis_vecs:
+            v -= (q @ v) * q
+        nrm = np.linalg.norm(v)
+        if nrm > 1e-10:
+            basis_vecs.append(v / nrm)
             keep.append(i)
     return keep

@@ -14,6 +14,7 @@ from factorbal.cli import (
     main,
 )
 from factorbal.design import enumerate_combinations
+from factorbal.solver import SolverOptions
 
 
 def write_csv(path, header, rows):
@@ -207,6 +208,26 @@ class TestEstimate:
         assert main(["estimate", "--config", str(cfg)]) == EXIT_OK
         lines = (tmp_path / "cfg_effects.csv").read_text().strip().splitlines()
         assert len(lines) == 5  # header + 4 main effects
+
+    def test_stalled_solve_exits_zero_with_one_note(self, tmp_path, capsys):
+        # a 1e-30 gradient tolerance is out of reach, so the line search
+        # stalls and the solve converges at the stall tolerance
+        data = tmp_path / "data.csv"
+        make_survey_like(data, n=1200, seed=8)
+        config = cli.RunConfig(
+            data_path=str(data),
+            factor_columns=["t1", "t2", "t3", "t4"],
+            covariate_columns=["x1", "x2", "x3", "x4", "x5", "x6"],
+            outcome_column="y",
+            max_order=1,
+            out_prefix=str(tmp_path / "stall"),
+            solver=SolverOptions(grad_tol=1e-30),
+        )
+        assert cli.cmd_estimate(config) == EXIT_OK
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert "stalled" in err[0] and "stall tolerance" in err[0]
+        assert (tmp_path / "stall_effects.csv").exists()
 
     def test_fractional_unobserved_in_config_is_usage_error(self, tmp_path, capsys):
         data = tmp_path / "data.csv"

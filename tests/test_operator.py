@@ -11,18 +11,25 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from factorbal.balance import BasisSpec, _numeric_keep, build_balance_system, split_contrast
+from factorbal.balance import (
+    BasisSpec,
+    _numeric_keep,
+    _structural_keep,
+    build_balance_system,
+    split_contrast,
+)
 from factorbal.data import Dataset
 from factorbal.design import (
     build_incomplete_design,
     effect_index_set,
+    enumerate_combinations,
     full_design,
     interaction_value,
 )
 from factorbal.estimation import weighted_estimates
 from factorbal.simulation import Scenario, generate
 from factorbal.solver import solve_dual
-from oracles import DenseOperator, numeric_keep
+from oracles import DenseOperator, numeric_keep, structural_keep
 
 RTOL = 1e-12
 FIVE_REMOVED = [(1, 1, 1, 1, 1), (1, 1, 1, -1, -1)]
@@ -147,6 +154,19 @@ def test_compressed_filter_keeps_dense_rows(draw):
     assert 0 < len(keep) < full.p
     slim = build_balance_system(ds, BasisSpec(), design, drop_redundant="numeric")
     assert slim.rows == tuple(full.rows[i] for i in keep)
+
+
+@pytest.mark.parametrize("flavor", ["heterogeneous", "additive"])
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_structural_filter_keeps_oracle_rows(k, flavor):
+    combos = enumerate_combinations(k)
+    rng = np.random.default_rng(k)
+    for s_count in (1, 3):
+        ds = Dataset(combos, rng.normal(size=(2**k, s_count)), np.zeros(2**k))
+        for k_prime in range(1, k + 1):
+            full = build_balance_system(ds, BasisSpec(model_flavor=flavor), full_design(k, k_prime))
+            keys = [r.key() for r in full.rows]
+            assert _structural_keep(keys) == structural_keep(keys)
 
 
 @pytest.mark.parametrize("name", ["complete", "additive", "incomplete", "five-factor"])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -140,15 +141,7 @@ class TestRunStudy:
             calls["n"] += 1
             sol = real(system, options)
             if calls["n"] == 2:
-                return type(sol)(
-                    lam=sol.lam,
-                    gamma=sol.gamma,
-                    weights=sol.weights,
-                    objective=sol.objective,
-                    iterations=sol.iterations,
-                    status="max_iters",
-                    grad_norm=sol.grad_norm,
-                )
+                return dataclasses.replace(sol, status="max_iters", stop_reason="max_iters")
             return sol
 
         monkeypatch.setattr(sim, "solve_dual", flaky)
@@ -165,15 +158,7 @@ class TestRunStudy:
 
         def bad_solve(system, options=None):
             real = solve_dual_orig(system, options)
-            return type(real)(
-                lam=real.lam,
-                gamma=real.gamma,
-                weights=real.weights,
-                objective=real.objective,
-                iterations=real.iterations,
-                status="max_iters",
-                grad_norm=real.grad_norm,
-            )
+            return dataclasses.replace(real, status="max_iters", stop_reason="max_iters")
 
         monkeypatch.setattr(sim, "solve_dual", bad_solve)
         sc = Scenario("three_factor", 300, "Y1", seed=23)

@@ -8,7 +8,8 @@ from factorbal.data import Dataset
 from factorbal.design import enumerate_combinations, full_design
 from factorbal.errors import InfeasibleProblemError
 from factorbal.simulation import Scenario, generate
-from factorbal.solver import ROUNDOFF, SolverOptions, _eval, solve_dual
+from factorbal import solver
+from factorbal.solver import ROUNDOFF, SolverOptions, _eval, solve_dual, stall_tolerance
 from oracles import check_feasibility, primal_oracle
 
 
@@ -80,7 +81,7 @@ class TestSolveDual:
     def test_balanced_design_exact_weights(self):
         system = balanced_constant_system(2)
         sol = solve_dual(system)
-        assert sol.converged
+        assert (sol.status, sol.stop_reason) == ("converged", "gradient")
         assert np.max(np.abs(sol.weights - 2.0)) < 1e-9
         assert balance_residuals(sol.weights, system).max_abs < 1e-9
 
@@ -90,7 +91,7 @@ class TestSolveDual:
         spec = BasisSpec(covariate_bases=[lambda x: np.ones(x.shape[0])])
         system = build_balance_system(ds, spec, full_design(2, 1))
         sol = solve_dual(system)
-        assert sol.status == "infeasible"
+        assert (sol.status, sol.stop_reason) == ("infeasible", "diverged")
         # certificate: the targets are inconsistent with the coefficients
         aug = np.hstack([system.B, system.b[:, None]])
         assert np.linalg.matrix_rank(aug) > np.linalg.matrix_rank(system.B)
@@ -152,7 +153,47 @@ class TestSolveDual:
     def test_max_iters_status(self):
         _, system = feasible_instance(9)
         sol = solve_dual(system, SolverOptions(max_iters=1))
-        assert sol.status in ("max_iters", "converged")
+        assert (sol.status, sol.stop_reason) == ("max_iters", "max_iters")
+
+    def test_stall_is_recorded(self):
+        # no iterate reaches a 1e-30 gradient: the line search runs out of
+        # ascent at floating precision and the looser tolerance decides
+        _, system = feasible_instance(1)
+        sol = solve_dual(system, SolverOptions(grad_tol=1e-30))
+        assert (sol.status, sol.stop_reason) == ("converged", "stalled")
+        assert sol.grad_norm <= stall_tolerance(system.b)
+
+    def test_five_factor_solve_makes_few_evaluations(self, monkeypatch):
+        # starting from the all-active step avoids a Newton step on a
+        # nearly empty active set and its 32 backtracking evaluations
+        ds, _ = generate(Scenario("five_factor", 2000, "Y2", seed=0), 0)
+        system = build_balance_system(ds, BasisSpec(), full_design(5, 2), drop_redundant=True)
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return _eval(*args)
+
+        monkeypatch.setattr(solver, "_eval", counted)
+        assert solve_dual(system).converged
+        assert len(calls) <= 12
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_balanced_constant_system_takes_one_iteration(self, k):
+        sol = solve_dual(balanced_constant_system(k))
+        assert sol.converged
+        assert sol.iterations == 1
+
+    def test_first_step_gives_minimum_norm_weights(self):
+        # from lam = 0 every unit sits at the kink and counts as active, so
+        # the first Newton step's weights are B'(BB')^{-1} b; a tiny ridge
+        # keeps the regularization's own bias below the tolerance
+        _, system = feasible_instance(11, n=80, k=2, d=1)
+        w_min = np.linalg.lstsq(system.B, system.b, rcond=None)[0]
+        assert np.all(w_min > 0)
+        sol = solve_dual(system, SolverOptions(max_iters=1, hessian_regularization=1e-14))
+        assert sol.iterations == 1
+        assert np.max(np.abs(sol.weights - w_min)) <= 1e-10
 
     def test_option_validation(self):
         with pytest.raises(ValueError):
