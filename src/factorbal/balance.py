@@ -13,7 +13,7 @@ design the implication fails, so both signed rows are kept.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
@@ -263,48 +263,45 @@ def build_balance_system(
             (const, J) for J in interactions
         ]
 
-    cells = design.observed
-    r_cells = {(): np.ones(cells.shape[0])}
-
-    def rj_cells(J):
-        if J not in r_cells:
-            r_cells[J] = interaction_value(cells, J)
-        return r_cells[J]
-
-    # positive and negative contrast parts of each retained effect at
-    # every observed cell
-    effect_pos = {e.members: i for i, e in enumerate(design.effects)}
-    cell_parts = split_contrast(design.contrasts(cells, design.effects))
-
     keys = _row_keys(
         tuple(e.members for e in effects), tuple(elements), design.complete
     )
     if drop_redundant and design.complete and drop_redundant != "numeric":
-        keep = _structural_keep(keys)
-        keys = [keys[i] for i in keep]
+        keys = [keys[i] for i in _structural_keep(keys)]
 
     # row (K, s, J, sign) weighs basis column s by the K side's part of
-    # the contrast times the J interaction, both constant within a cell
-    g_rows: list[np.ndarray] = []
-    meta: list[tuple] = []
-    for members, s, J, sign in keys:
-        g_part = cell_parts[0 if sign > 0 else 1][effect_pos[members]]
-        if not design.complete and not np.any(g_part):
-            continue
-        g_rows.append(g_part * rj_cells(J))
-        meta.append((members, s, J, sign))
-    G = np.array(g_rows)
-    basis_ids = np.array([s for _, s, _, _ in meta], dtype=np.intp)
+    # the contrast times the J interaction, both constant within a cell:
+    # one gather from the split contrasts and the interaction values
+    cells = design.observed
+    effect_pos = {e.members: i for i, e in enumerate(design.effects)}
+    interaction_pos = {J: i for i, J in enumerate(dict.fromkeys(key[2] for key in keys))}
+    side, effect_ids, basis_ids, interaction_ids = np.array(
+        [
+            (int(sign < 0), effect_pos[members], s, interaction_pos[J])
+            for members, s, J, sign in keys
+        ],
+        dtype=np.intp,
+    ).T
+    parts = np.stack(split_contrast(design.contrasts(cells, design.effects)))
+    r_cells = np.array([interaction_value(cells, J) for J in interaction_pos])
+    G = parts[side, effect_ids] * r_cells[interaction_ids]
+    # a contrast side with no observed cell (incomplete designs only) gives
+    # an all-zero row: the interaction values are +-1
+    keep = np.flatnonzero(G.any(axis=1))
+    G, basis_ids = G[keep], basis_ids[keep]
     coef = G.sum(axis=1) / 2 ** (design.k - 1)
+    if drop_redundant and (not design.complete or drop_redundant == "numeric"):
+        chosen = _numeric_keep(G, basis_ids, coef, unit_cells, H)
+        keep, G, basis_ids, coef = keep[chosen], G[chosen], basis_ids[chosen], coef[chosen]
     targets = coef * H.sum(axis=0)[basis_ids]
-    system = BalanceSystem(
+    return BalanceSystem(
         G=G,
         basis_ids=basis_ids,
         coef=coef,
         unit_cells=unit_cells,
         rows=tuple(
             ConstraintRow(Effect(members), s, J, sign, float(t))
-            for (members, s, J, sign), t in zip(meta, targets)
+            for (members, s, J, sign), t in zip((keys[i] for i in keep), targets)
         ),
         elements=tuple(elements),
         basis_values=H,
@@ -312,16 +309,6 @@ def build_balance_system(
         design=design,
         flavor=basis.model_flavor,
     )
-    if drop_redundant and (not design.complete or drop_redundant == "numeric"):
-        keep = _numeric_keep(system)
-        system = replace(
-            system,
-            G=G[keep],
-            basis_ids=basis_ids[keep],
-            coef=coef[keep],
-            rows=tuple(system.rows[i] for i in keep),
-        )
-    return system
 
 
 @lru_cache(maxsize=64)
@@ -395,45 +382,82 @@ def _structural_keep(keys) -> list[int]:
     return list(_structural_keep_cached(tuple(keys)))
 
 
-def _numeric_keep(system: BalanceSystem, tol: float = 1e-10) -> list[int]:
-    """Greedy independent subset of the stacked [coefficients | targets] rows.
+def _numeric_keep(
+    G: np.ndarray,
+    basis_ids: np.ndarray,
+    coef: np.ndarray,
+    unit_cells: np.ndarray,
+    H: np.ndarray,
+    tol: float = 1e-10,
+) -> list[int]:
+    """Greedy independent subset of the stacked [coefficients | targets]
+    rows of the factored system with these ``BalanceSystem`` fields
+    (``H = basis_values``).
 
     Works on compressed rows with the same Gram matrix as ``[B | T]``:
     with ``R_c`` the R factor of H over cell c's units and ``R_H`` that of
     all of H, row r becomes ``[G[r, c] R_c[:, s_r]]_c ++ [coef_r R_H[:, s_r]]``,
-    (cells + 1) * S long whatever N is, then kept by ``_greedy_keep``.
+    (cells + 1) * S long whatever N is, then kept by ``_greedy_keep``,
+    which screens them a block at a time against the kept span.
     """
-    H, ids = system.basis_values, system.basis_ids
-    order = np.argsort(system.unit_cells, kind="stable")
-    bounds = np.cumsum(np.bincount(system.unit_cells, minlength=system.G.shape[1]))
+    order = np.argsort(unit_cells, kind="stable")
+    bounds = np.cumsum(np.bincount(unit_cells, minlength=G.shape[1]))
     blocks = [
-        system.G[:, [c]] * np.linalg.qr(H[unit], mode="r")[:, ids].T
+        G[:, [c]] * np.linalg.qr(H[unit], mode="r")[:, basis_ids].T
         for c, unit in enumerate(np.split(order, bounds[:-1]))
     ]
-    blocks.append(system.coef[:, None] * np.linalg.qr(H, mode="r")[:, ids].T)
+    blocks.append(coef[:, None] * np.linalg.qr(H, mode="r")[:, basis_ids].T)
     return _greedy_keep(np.hstack(blocks), tol)
+
+
+# rows screened per matmul in ``_greedy_keep``, and the fraction of the
+# tolerance below which a screened residual drops a row unexamined
+_SCREEN_BLOCK = 128
+_SCREEN_MARGIN = 0.01
 
 
 def _greedy_keep(rows: np.ndarray, tol: float) -> list[int]:
     """Indices of the rows, taken in order, whose component orthogonal to
     the kept ones (two classical Gram-Schmidt passes against the kept
     rows as a matrix) exceeds ``tol`` times their norm; zero rows are
-    skipped."""
-    basis = np.empty((min(rows.shape), rows.shape[1]))
+    skipped.
+
+    Rows are screened ``_SCREEN_BLOCK`` at a time by one product with an
+    orthonormal basis of the kept span's orthogonal complement, recomputed
+    only when the kept set has grown since the last block. That gives
+    each row's residual against the rows kept before its block. The kept
+    span only grows, so a row whose residual is below
+    ``_SCREEN_MARGIN * tol`` times its norm would fail the test anyway (the
+    margin covers the two computations' rounding) and is dropped; the
+    others take the Gram-Schmidt test in order, so the kept indices are
+    those of the row-by-row loop.
+    """
+    n_rows, dim = rows.shape
+    basis = np.empty((min(n_rows, dim), dim))
     keep: list[int] = []
-    for i, v in enumerate(rows):
-        scale = np.linalg.norm(v)
-        if scale == 0:
-            continue
-        q = basis[: len(keep)]
-        for _ in range(2):
-            v = v - (q @ v) @ q
-        nrm = np.linalg.norm(v)
-        if nrm > tol * scale:
-            basis[len(keep)] = v / nrm
-            keep.append(i)
-            if len(keep) == basis.shape[0]:
-                break
+    complement, screened_rank = np.eye(dim), 0
+    for start in range(0, n_rows, _SCREEN_BLOCK):
+        if len(keep) > screened_rank:
+            screened_rank = len(keep)
+            full = np.linalg.qr(basis[:screened_rank].T, mode="complete")[0]
+            complement = full[:, screened_rank:]
+        block = rows[start : start + _SCREEN_BLOCK]
+        residual = np.linalg.norm(block @ complement, axis=1)
+        floor = _SCREEN_MARGIN * tol * np.linalg.norm(block, axis=1)
+        for i in np.flatnonzero(residual > floor):
+            v = block[i]
+            scale = np.linalg.norm(v)
+            if scale == 0:
+                continue
+            q = basis[: len(keep)]
+            for _ in range(2):
+                v = v - (q @ v) @ q
+            nrm = np.linalg.norm(v)
+            if nrm > tol * scale:
+                basis[len(keep)] = v / nrm
+                keep.append(start + int(i))
+                if len(keep) == basis.shape[0]:
+                    return keep
     return keep
 
 

@@ -97,15 +97,19 @@ def _column(header: list[str], body: list[list[str]], name: str, path: str) -> n
     if name not in header:
         raise DataError(f"{path}: column {name!r} not found in header")
     j = header.index(name)
-    vals = np.empty(len(body))
-    for i, row in enumerate(body):
-        try:
-            vals[i] = float(row[j])
-        except ValueError:
-            raise DataError(
-                f"{path} line {i + 2}: cannot parse {row[j]!r} in column {name!r}"
-            ) from None
-    return vals
+    cells = [row[j] for row in body]
+    try:
+        return np.fromiter(map(float, cells), float, len(cells))
+    except ValueError:
+        # name the first cell that does not parse
+        for i, cell in enumerate(cells):
+            try:
+                float(cell)
+            except ValueError:
+                raise DataError(
+                    f"{path} line {i + 2}: cannot parse {cell!r} in column {name!r}"
+                ) from None
+        raise
 
 
 def load_dataset(config: RunConfig) -> Dataset:
@@ -118,11 +122,17 @@ def load_dataset(config: RunConfig) -> Dataset:
         Z = 2 * Z - 1
     if not np.all(np.isin(Z, (-1, 1))):
         raise DataError("factor columns must contain only -1/+1 under pm1 coding")
-    X = np.column_stack(
-        [_column(header, body, c, config.data_path) for c in config.covariate_columns]
-    )
-    Y = _column(header, body, config.outcome_column, config.data_path)
-    return Dataset(Z.astype(int), X, Y)
+    names = [*config.covariate_columns, config.outcome_column]
+    columns = [_column(header, body, c, config.data_path) for c in names]
+    for name, vals in zip(names, columns):
+        bad = np.flatnonzero(~np.isfinite(vals))
+        if bad.size:
+            i = int(bad[0])
+            raise DataError(
+                f"{config.data_path} line {i + 2}: non-finite value "
+                f"{body[i][header.index(name)]!r} in column {name!r}"
+            )
+    return Dataset(Z.astype(int), np.column_stack(columns[:-1]), columns[-1])
 
 
 def resolve_design(config: RunConfig, dataset: Dataset) -> FactorialDesign:
@@ -177,11 +187,10 @@ def _write_effects(path_prefix: str, fmt: str, estimates) -> list[str]:
 
 def _write_weights(path_prefix: str, weights: np.ndarray) -> str:
     out = Path(f"{path_prefix}_weights.csv")
+    # the bytes csv.writer would write: no field needs quoting
+    lines = [f"{i},{v:.12g}\r\n" for i, v in enumerate(np.asarray(weights).tolist())]
     with open(out, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["unit_index", "weight"])
-        for i, v in enumerate(weights):
-            w.writerow([i, f"{v:.12g}"])
+        fh.write("unit_index,weight\r\n" + "".join(lines))
     return str(out)
 
 

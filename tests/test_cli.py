@@ -189,6 +189,40 @@ class TestEstimate:
         assert code == EXIT_DATA
         assert "line 3" in capsys.readouterr().err
 
+    def test_unparseable_last_line_in_covariate(self, tmp_path, capsys):
+        data = tmp_path / "bad.csv"
+        make_survey_like(data, n=200)
+        lines = data.read_text().splitlines()
+        fields = lines[-1].split(",")
+        fields[5] = "1.5.2"  # x2
+        lines[-1] = ",".join(fields)
+        data.write_text("\n".join(lines) + "\n")
+        assert main(base_args(data, tmp_path / "x")) == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"error: {data} line 201: cannot parse '1.5.2' in column 'x2'\n"
+        )
+
+    @pytest.mark.parametrize("column, cell", [("x1", "nan"), ("y", "-inf")])
+    def test_nonfinite_value_reports_line_and_column(self, tmp_path, capsys, column, cell):
+        data = tmp_path / "bad.csv"
+        rows = [[1, -1, 0.5, 1.0], [-1, 1, 0.1, 2.0], [1, 1, 0.3, 0.5]]
+        rows[1][["t1", "t2", "x1", "y"].index(column)] = cell
+        write_csv(data, ["t1", "t2", "x1", "y"], rows)
+        code = main(
+            [
+                "estimate",
+                "--data", str(data),
+                "--factors", "t1,t2",
+                "--covariates", "x1",
+                "--outcome", "y",
+                "--out", str(tmp_path / "x"),
+            ]
+        )
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"error: {data} line 3: non-finite value {cell!r} in column {column!r}\n"
+        )
+
     def test_config_file(self, tmp_path):
         data = tmp_path / "data.csv"
         make_survey_like(data, n=1200, seed=8)
@@ -282,6 +316,20 @@ class TestEstimate:
         )
         assert code == EXIT_DATA
         assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_weights_file_bytes_match_csv_writer(tmp_path):
+    weights = np.array(
+        [0.0, 1e-300, 5e-324, 2.2250738585072e-310, 1e22, 0.5, 2 / 3, 1.0, 1234.5678901234567]
+    )
+    written = cli._write_weights(str(tmp_path / "run"), weights)
+    reference = tmp_path / "reference.csv"
+    with open(reference, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["unit_index", "weight"])
+        for i, v in enumerate(weights):
+            w.writerow([i, f"{v:.12g}"])
+    assert open(written, "rb").read() == reference.read_bytes()
 
 
 class TestDiagnose:

@@ -10,9 +10,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from factorbal.balance import (
+    _SCREEN_BLOCK,
     BasisSpec,
+    _greedy_keep,
     _numeric_keep,
     _structural_keep,
     build_balance_system,
@@ -133,27 +137,96 @@ def test_products_match_dense(name):
         assert_close(system.active_gram(mask), dense.active_gram(mask))
 
 
-@pytest.mark.parametrize(
-    "draw",
-    [
-        lambda: (without_cells(three_factor(3, 400), [(1, 1, 1)]),
-                 build_incomplete_design(3, 2, [(1, 1, 1)])),
-        lambda: (without_cells(three_factor(4, 400), [(1, 1, 1), (-1, 1, -1)]),
-                 build_incomplete_design(3, 2, [(1, 1, 1)])),
-        lambda: (without_cells(five_factor(5, 800), FIVE_REMOVED, d=2),
-                 build_incomplete_design(5, 2, FIVE_REMOVED)),
-        lambda: (three_factor(6), full_design(3, 2)),
-    ],
-    ids=["incomplete", "empty-cell", "five-factor-incomplete", "complete"],
-)
+def with_covariates(ds, make):
+    """``ds`` with its covariates replaced by ``make(X)``."""
+    return Dataset(ds.Z, make(ds.X), ds.Y)
+
+
+def k_prime_one_without(cells):
+    """Three-factor main-effects design without ``cells``, on data with
+    no units there."""
+    ds = without_cells(three_factor(10 + len(cells), 400), cells)
+    return ds, build_incomplete_design(3, 1, cells)
+
+
+FIVE_SPARSE = FIVE_REMOVED + [(-1, 1, -1, 1, -1)]
+
+# (dataset, design) pairs whose unfiltered systems hold redundant rows
+FILTER_DRAWS = {
+    "incomplete": lambda: (without_cells(three_factor(3, 400), [(1, 1, 1)]),
+                           build_incomplete_design(3, 2, [(1, 1, 1)])),
+    "empty-cell": lambda: (without_cells(three_factor(4, 400), [(1, 1, 1), (-1, 1, -1)]),
+                           build_incomplete_design(3, 2, [(1, 1, 1)])),
+    "five-factor-incomplete": lambda: (without_cells(five_factor(5, 800), FIVE_REMOVED, d=2),
+                                       build_incomplete_design(5, 2, FIVE_REMOVED)),
+    "complete": lambda: (three_factor(6), full_design(3, 2)),
+    "duplicated-covariate": lambda: (
+        with_covariates(three_factor(7), lambda X: np.column_stack([X[:, :3], X[:, 1]])),
+        full_design(3, 2)),
+    "combined-covariate": lambda: (
+        with_covariates(three_factor(8), lambda X: np.column_stack([X[:, :3], X[:, 0] - 2 * X[:, 2]])),
+        full_design(3, 2)),
+    "constant-covariate": lambda: (
+        with_covariates(three_factor(9), lambda X: np.column_stack([X[:, :2], np.full(len(X), 3.0)])),
+        full_design(3, 2)),
+    "three-factor-two-empty": lambda: k_prime_one_without([(1, 1, 1), (-1, 1, -1)]),
+    "three-factor-three-empty": lambda: k_prime_one_without([(1, 1, 1), (-1, 1, -1), (1, -1, -1)]),
+    "five-factor-one-empty": lambda: (without_cells(five_factor(11, 800), FIVE_SPARSE[:1], d=2),
+                                      build_incomplete_design(5, 2, FIVE_SPARSE[:1])),
+    "five-factor-three-empty": lambda: (without_cells(five_factor(12, 800), FIVE_SPARSE, d=2),
+                                        build_incomplete_design(5, 2, FIVE_SPARSE)),
+}
+
+
+@pytest.mark.parametrize("draw", list(FILTER_DRAWS))
 def test_compressed_filter_keeps_dense_rows(draw):
-    ds, design = draw()
+    ds, design = FILTER_DRAWS[draw]()
     full = build_balance_system(ds, BasisSpec(), design)
     keep = numeric_keep(full.B, full.unit_targets)
-    assert _numeric_keep(full) == keep
+    assert _numeric_keep(full.G, full.basis_ids, full.coef, full.unit_cells, full.basis_values) == keep
     assert 0 < len(keep) < full.p
     slim = build_balance_system(ds, BasisSpec(), design, drop_redundant="numeric")
     assert slim.rows == tuple(full.rows[i] for i in keep)
+    assert np.array_equal(slim.G, full.G[keep]) and np.array_equal(slim.coef, full.coef[keep])
+
+
+def test_greedy_keep_finds_rows_after_long_dependent_runs():
+    # each new row follows a run of combinations of the kept ones, some
+    # runs longer than a screening block, so the kept span's complement
+    # is recomputed across block boundaries; every other new row lies only
+    # 5 * tol (relative) off the kept span, so a screen that dropped more
+    # than Gram-Schmidt does would lose it; rows are then scaled from 1e-6
+    # to 1e6
+    rng = np.random.default_rng(0)
+    dim = 9
+    rows, expected = [], []
+    for k, run in enumerate((0, 2 * _SCREEN_BLOCK + 5, 3, _SCREEN_BLOCK - 1, 1, 3 * _SCREEN_BLOCK, 40)):
+        if k:
+            rows += list(rng.normal(size=(run, k)) @ np.array(rows)[expected])
+            rows.append(np.zeros(dim))
+        fresh = np.zeros(dim)
+        fresh[:k] = rng.normal(size=k)
+        fresh[k] = 5e-10 * np.linalg.norm(fresh) if k % 2 else 1.0
+        expected.append(len(rows))
+        rows.append(fresh)
+    rows = np.array(rows)
+    for scaled in (rows, rows * 10.0 ** rng.uniform(-6, 6, (len(rows), 1))):
+        assert _greedy_keep(scaled, 1e-10) == expected
+        assert numeric_keep(scaled, scaled[:, :0]) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 3 * _SCREEN_BLOCK),
+    dim=st.integers(1, 12),
+    rank=st.integers(0, 12),
+)
+def test_greedy_keep_matches_oracle_on_low_rank_rows(seed, n, dim, rank):
+    rng = np.random.default_rng(seed)
+    rows = rng.normal(size=(n, min(rank, dim))) @ rng.normal(size=(min(rank, dim), dim))
+    rows *= 10.0 ** rng.uniform(-6, 6, (n, 1))
+    assert _greedy_keep(rows, 1e-10) == numeric_keep(rows, rows[:, :0])
 
 
 @pytest.mark.parametrize("flavor", ["heterogeneous", "additive"])
