@@ -25,7 +25,6 @@ from .design import (
     combination_bits,
     effect_index_set,
     enumerate_combinations,
-    full_design,
 )
 from .errors import (
     ConfigurationError,
@@ -99,7 +98,7 @@ def _column(header: list[str], body: list[list[str]], name: str, path: str) -> n
     j = header.index(name)
     cells = [row[j] for row in body]
     try:
-        return np.fromiter(map(float, cells), float, len(cells))
+        values = np.fromiter(map(float, cells), float, len(cells))
     except ValueError:
         # name the first cell that does not parse
         for i, cell in enumerate(cells):
@@ -110,6 +109,13 @@ def _column(header: list[str], body: list[list[str]], name: str, path: str) -> n
                     f"{path} line {i + 2}: cannot parse {cell!r} in column {name!r}"
                 ) from None
         raise
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        i = int(bad[0])
+        raise DataError(
+            f"{path} line {i + 2}: non-finite value {cells[i]!r} in column {name!r}"
+        )
+    return values
 
 
 def load_dataset(config: RunConfig) -> Dataset:
@@ -124,30 +130,19 @@ def load_dataset(config: RunConfig) -> Dataset:
         raise DataError("factor columns must contain only -1/+1 under pm1 coding")
     names = [*config.covariate_columns, config.outcome_column]
     columns = [_column(header, body, c, config.data_path) for c in names]
-    for name, vals in zip(names, columns):
-        bad = np.flatnonzero(~np.isfinite(vals))
-        if bad.size:
-            i = int(bad[0])
-            raise DataError(
-                f"{config.data_path} line {i + 2}: non-finite value "
-                f"{body[i][header.index(name)]!r} in column {name!r}"
-            )
     return Dataset(Z.astype(int), np.column_stack(columns[:-1]), columns[-1])
 
 
 def resolve_design(config: RunConfig, dataset: Dataset) -> FactorialDesign:
     k = dataset.k
-    k_prime = min(config.max_order, k)
-    if config.unobserved == "none" or config.unobserved is None:
-        return full_design(k, k_prime)
-    if config.unobserved == "auto":
-        cells = enumerate_combinations(k)
-        present = set(int(b) for b in combination_bits(dataset.Z))
-        missing = [c for c, b in zip(cells, combination_bits(cells)) if int(b) not in present]
-        if not missing:
-            return full_design(k, k_prime)
-        return build_incomplete_design(k, k_prime, np.array(missing))
-    return build_incomplete_design(k, k_prime, config.unobserved)
+    unobserved = config.unobserved
+    if unobserved is None or unobserved == "none":
+        unobserved = []
+    elif unobserved == "auto":
+        present = np.zeros(2**k, dtype=bool)
+        present[combination_bits(dataset.Z)] = True
+        unobserved = enumerate_combinations(k)[~present]
+    return build_incomplete_design(k, min(config.max_order, k), unobserved)
 
 
 def _write_effects(path_prefix: str, fmt: str, estimates) -> list[str]:
@@ -440,9 +435,6 @@ def main(argv: list[str] | None = None) -> int:
     except InfeasibleProblemError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (DataError, ConfigurationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except FactorbalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -23,6 +23,8 @@ import numpy as np
 from .errors import ConfigurationError, IdentificationError
 
 MAX_FACTORS = 20
+# relative singular-value cutoff of the identification rank check
+RANK_TOL = 1e-8
 
 
 def _check_k(k: int) -> None:
@@ -39,8 +41,9 @@ def enumerate_combinations(k: int) -> np.ndarray:
     varies fastest. Deterministic.
     """
     _check_k(k)
-    grid = np.array(list(itertools.product((-1, 1), repeat=k)), dtype=np.int8)
-    return grid
+    # row i holds the bits of i, most significant first, mapped 0 -> -1
+    bits = (np.arange(2**k, dtype=np.int32)[:, None] >> np.arange(k - 1, -1, -1)) & 1
+    return (2 * bits - 1).astype(np.int8)
 
 
 def combination_bits(z: np.ndarray) -> np.ndarray:
@@ -83,6 +86,22 @@ class Effect:
 SUMMARY = Effect(())
 
 
+def interaction_value(z: np.ndarray, members: tuple[int, ...]) -> np.ndarray:
+    """Product of the selected factor levels, rowwise; 1 for the empty set."""
+    z = np.atleast_2d(np.asarray(z))
+    if not members:
+        return np.ones(z.shape[0])
+    return np.prod(z[:, [m - 1 for m in members]], axis=1).astype(float)
+
+
+def _contrast_rows(effects: Sequence[Effect], cells: np.ndarray) -> np.ndarray:
+    """(E, cells) contrast coefficients of ``effects`` at the combinations ``cells``."""
+    out = np.empty((len(effects), cells.shape[0]))
+    for row, e in zip(out, effects):
+        row[:] = interaction_value(cells, e.members)
+    return out
+
+
 def contrast_vector(effect: Effect, k: int) -> np.ndarray:
     """Signed contrast coefficients of ``effect`` over the 2^k combinations.
 
@@ -94,11 +113,7 @@ def contrast_vector(effect: Effect, k: int) -> np.ndarray:
         raise ConfigurationError(
             f"effect {effect.label()} references a factor beyond K={k}"
         )
-    combos = enumerate_combinations(k)
-    if not effect.members:
-        return np.ones(combos.shape[0], dtype=np.int8)
-    idx = [m - 1 for m in effect.members]
-    return np.prod(combos[:, idx], axis=1).astype(np.int8)
+    return _contrast_rows([effect], enumerate_combinations(k))[0].astype(np.int8)
 
 
 def effect_index_set(k: int, k_prime: int) -> list[Effect]:
@@ -121,16 +136,8 @@ def design_matrix(k: int) -> np.ndarray:
     Column order: summary first, then all effects by order then lex.
     Columns are mutually orthogonal with squared norm 2^k.
     """
-    cols = [SUMMARY] + effect_index_set(k, k)
-    return np.column_stack([contrast_vector(e, k) for e in cols])
-
-
-def interaction_value(z: np.ndarray, members: tuple[int, ...]) -> np.ndarray:
-    """Product of the selected factor levels, rowwise; 1 for the empty set."""
-    z = np.atleast_2d(np.asarray(z))
-    if not members:
-        return np.ones(z.shape[0])
-    return np.prod(z[:, [m - 1 for m in members]], axis=1).astype(float)
+    effects = [SUMMARY] + effect_index_set(k, k)
+    return _contrast_rows(effects, enumerate_combinations(k)).T.astype(np.int8, order="C")
 
 
 @dataclass(frozen=True)
@@ -219,44 +226,30 @@ class FactorialDesign:
 
 
 def full_design(k: int, k_prime: int | None = None) -> FactorialDesign:
-    """A complete 2^k design retaining effects up to order ``k_prime``."""
-    _check_k(k)
-    if k_prime is None:
-        k_prime = k
-    effects = [SUMMARY] + effect_index_set(k, k_prime)
-    combos = enumerate_combinations(k)
-    effective = np.array([contrast_vector(e, k) for e in effects], dtype=float)
-    return FactorialDesign(
-        k=k,
-        k_prime=k_prime,
-        observed=combos,
-        unobserved=combos[:0],
-        effects=tuple(effects),
-        effective=effective,
-        uu_min_singular_value=None,
-    )
+    """A complete 2^k design retaining effects up to order ``k_prime``
+    (default ``k``): ``build_incomplete_design`` with no unobserved cell."""
+    return build_incomplete_design(k, k if k_prime is None else k_prime, [])
 
 
 def build_incomplete_design(
-    k: int,
-    k_prime: int,
-    unobserved: np.ndarray | list,
-    tol: float = 1e-8,
+    k: int, k_prime: int, unobserved: np.ndarray | list
 ) -> FactorialDesign:
     """Design restricted to observed cells, with effective contrasts that
     recover the retained effects from observed cell means only.
 
-    The full contrast matrix is partitioned by observed/unobserved rows
-    and retained/negligible columns; the unobserved cell means are
-    eliminated through the negligible contrasts, which requires the
-    unobserved-by-negligible block to have full row rank (checked via its
-    singular values against ``tol`` times the largest one).
-    """
-    _check_k(k)
-    if not 1 <= k_prime <= k:
-        raise ConfigurationError(f"max interaction order must be in [1, {k}]")
+    The unobserved cell means are eliminated through the negligible
+    (order above ``k_prime``) contrasts. Because the full contrast matrix
+    G satisfies G G' = 2^k I, that elimination reduces to a solve of
+    size q_u, the number of unobserved cells: with G_or and G_ur the
+    retained contrasts at the observed and unobserved cells,
 
-    combos = enumerate_combinations(k)
+        effective = G_or + G_ur (2^k I - G_ur' G_ur)^{-1} G_ur' G_or.
+
+    It requires the unobserved-by-negligible contrast block to have full
+    row rank, checked by its singular values against ``RANK_TOL`` times
+    the largest one. With no unobserved cell, ``effective`` is G_or.
+    """
+    retained = [SUMMARY] + effect_index_set(k, k_prime)
     try:
         levels = np.asarray(unobserved, dtype=float).reshape(len(unobserved), k)
     except (TypeError, ValueError):
@@ -267,20 +260,13 @@ def build_incomplete_design(
         raise ConfigurationError(
             f"unobserved combinations must be coded -1/+1, got {unobserved!r}"
         )
-    unobs = levels.astype(np.int8)
-    unobs_bits = set(int(b) for b in combination_bits(unobs))
-    if len(unobs_bits) != unobs.shape[0]:
+    observed_mask = np.ones(2**k, dtype=bool)
+    observed_mask[combination_bits(levels)] = False
+    q_u = 2**k - int(np.count_nonzero(observed_mask))
+    if q_u != levels.shape[0]:
         raise ConfigurationError("duplicate unobserved combinations")
 
-    all_bits = combination_bits(combos)
-    obs_mask = np.array([int(b) not in unobs_bits for b in all_bits])
-    observed = combos[obs_mask]
-    unobs_sorted = combos[~obs_mask]
-
-    retained = [SUMMARY] + effect_index_set(k, k_prime)
-    negligible = [e for e in effect_index_set(k, k) if e.order > k_prime]
-    q_u = unobs_sorted.shape[0]
-    q_minus = len(negligible)
+    q_minus = 2**k - len(retained)
     if q_u > q_minus:
         raise IdentificationError(
             f"{q_u} unobserved combinations exceed the {q_minus} negligible "
@@ -288,31 +274,24 @@ def build_incomplete_design(
             "not identified"
         )
 
-    g = design_matrix(k).astype(float)
-    col_index = {e: i for i, e in enumerate([SUMMARY] + effect_index_set(k, k))}
-    ret_cols = [col_index[e] for e in retained]
-    neg_cols = [col_index[e] for e in negligible]
-
-    g_oo = g[np.ix_(obs_mask.nonzero()[0], ret_cols)]
-    if q_u == 0:
-        effective = g_oo.T.copy()
-        min_sv = None
-    else:
-        g_ou = g[np.ix_((~obs_mask).nonzero()[0], ret_cols)]
-        g_uo = g[np.ix_(obs_mask.nonzero()[0], neg_cols)]
-        g_uu = g[np.ix_((~obs_mask).nonzero()[0], neg_cols)]
-        sv = np.linalg.svd(g_uu, compute_uv=False)
-        min_sv = float(sv[-1]) if sv.size else 0.0
-        if sv.size == 0 or min_sv < tol * sv[0]:
+    combos = enumerate_combinations(k)
+    observed, unobs_sorted = combos[observed_mask], combos[~observed_mask]
+    effective = _contrast_rows(retained, observed)
+    min_sv = None
+    if q_u:
+        negligible = effect_index_set(k, k)[len(retained) - 1 :]
+        sv = np.linalg.svd(_contrast_rows(negligible, unobs_sorted).T, compute_uv=False)
+        min_sv = float(sv[-1])
+        if min_sv < RANK_TOL * sv[0]:
             raise IdentificationError(
                 "unobserved cells cannot be eliminated: the "
                 "unobserved-by-negligible contrast block is rank deficient "
                 f"(min singular value {min_sv:.2e}) for unobserved set "
                 f"{[tuple(r) for r in unobs_sorted]}"
             )
-        # pseudoinverse with the same relative singular-value cutoff
-        uu_t_pinv = np.linalg.pinv(g_uu.T, rcond=tol)
-        effective = g_oo.T - g_ou.T @ uu_t_pinv @ g_uo.T
+        g_ur = _contrast_rows(retained, unobs_sorted)
+        gram = 2.0**k * np.eye(q_u) - g_ur.T @ g_ur
+        effective += g_ur @ np.linalg.solve(gram, g_ur.T @ effective)
     return FactorialDesign(
         k=k,
         k_prime=k_prime,

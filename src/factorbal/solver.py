@@ -40,6 +40,12 @@ STALLED = "stalled"
 DIVERGED = "diverged"
 # objective changes this small relative to the objective are roundoff
 ROUNDOFF = 8 * np.finfo(float).eps
+# backtracking line search: step shrink factor and Armijo slope fraction
+LINE_SEARCH_SHRINK = 0.5
+LINE_SEARCH_SLOPE = 1e-4
+# multiplier max-norm beyond which the dual is declared unbounded
+# (primal infeasible)
+DIVERGENCE_NORM = 1e8
 
 
 @dataclass(frozen=True)
@@ -48,25 +54,15 @@ class SolverOptions:
 
     ``grad_tol`` is the gradient max-norm threshold; when None it defaults
     to 1e-9 times the number of units, keeping the stopping rule size
-    independent. ``divergence_norm`` bounds the multiplier max-norm beyond
-    which the dual is declared unbounded (primal infeasible).
+    independent.
     """
 
     grad_tol: float | None = None
     max_iters: int = 500
-    line_search_shrink: float = 0.5
-    line_search_slope: float = 1e-4
-    divergence_norm: float = 1e8
     hessian_regularization: float = 1e-10
 
     def __post_init__(self):
-        for name in (
-            "max_iters",
-            "line_search_shrink",
-            "line_search_slope",
-            "divergence_norm",
-            "hessian_regularization",
-        ):
+        for name in ("max_iters", "hessian_regularization"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.grad_tol is not None and self.grad_tol <= 0:
@@ -84,7 +80,7 @@ class DualSolution:
     iteration: ``gradient`` (max-norm below ``grad_tol``), ``stalled`` (no
     ascent step at floating precision; the status is ``converged`` if the
     gradient meets ``stall_tolerance(b)``), ``diverged`` (multipliers past
-    ``divergence_norm``) or ``max_iters``.
+    ``DIVERGENCE_NORM``) or ``max_iters``.
     """
 
     lam: np.ndarray
@@ -165,7 +161,7 @@ def solve_dual(system: BalanceSystem, options: SolverOptions | None = None) -> D
         if gnorm <= tol:
             status, reason = CONVERGED, GRADIENT
             break
-        if np.max(np.abs(lam), initial=0.0) > opts.divergence_norm:
+        if np.max(np.abs(lam), initial=0.0) > DIVERGENCE_NORM:
             status, reason = INFEASIBLE, DIVERGED
             break
         d = _newton_direction(system, neg, grad, opts.hessian_regularization)
@@ -182,13 +178,13 @@ def solve_dual(system: BalanceSystem, options: SolverOptions | None = None) -> D
                 # progress in the gradient instead
                 ascent = np.max(np.abs(cgrad), initial=0.0) < gnorm
             else:
-                ascent = cobj >= obj + opts.line_search_slope * step * slope
+                ascent = cobj >= obj + LINE_SEARCH_SLOPE * step * slope
             if ascent:
                 lam, u, neg, w, obj, grad = cand, cu, cneg, cw, cobj, cgrad
                 trace.append(obj)
                 accepted = True
                 break
-            step *= opts.line_search_shrink
+            step *= LINE_SEARCH_SHRINK
         iters += 1
         if not accepted:
             # no ascent possible at floating precision; converged if the
@@ -198,7 +194,7 @@ def solve_dual(system: BalanceSystem, options: SolverOptions | None = None) -> D
             break
 
     gnorm = float(np.max(np.abs(grad), initial=0.0))
-    if status == MAX_ITERS and np.max(np.abs(lam), initial=0.0) > opts.divergence_norm:
+    if status == MAX_ITERS and np.max(np.abs(lam), initial=0.0) > DIVERGENCE_NORM:
         status = INFEASIBLE
     gamma = np.where(u >= 0, u, 0.0)
     return DualSolution(

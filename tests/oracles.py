@@ -6,13 +6,21 @@ minimum-dispersion problem directly by an active-set search.
 ``DenseOperator`` and ``numeric_keep`` are the balance operator and the
 redundancy filter computed from the system's dense P x N views;
 ``structural_keep`` is the structural filter as a per-vector loop.
+``incomplete_design_oracle`` builds an incomplete design's effective
+contrasts from the full 2^K x 2^K contrast matrix and a pseudoinverse.
 """
 
 import numpy as np
 from scipy.optimize import linprog
 
 from factorbal.balance import BalanceSystem
-from factorbal.errors import InfeasibleProblemError
+from factorbal.design import (
+    combination_bits,
+    design_matrix,
+    effect_index_set,
+    enumerate_combinations,
+)
+from factorbal.errors import IdentificationError, InfeasibleProblemError
 
 
 def check_feasibility(system: BalanceSystem) -> bool:
@@ -187,3 +195,34 @@ def structural_keep(keys) -> list[int]:
             basis_vecs.append(v / nrm)
             keep.append(i)
     return keep
+
+
+def incomplete_design_oracle(k: int, k_prime: int, unobserved, tol: float = 1e-8):
+    """Effective contrasts of the retained effects over the observed cells
+    and the smallest singular value of the unobserved-by-negligible block.
+
+    Partitions the full contrast matrix by observed/unobserved rows and
+    retained/negligible columns and eliminates the unobserved cell means
+    through the pseudoinverse of that block. Raises ``IdentificationError``
+    where the block is too wide or rank deficient (singular values below
+    ``tol`` times the largest).
+    """
+    unobs_bits = combination_bits(np.asarray(unobserved).reshape(len(unobserved), k))
+    obs_mask = ~np.isin(combination_bits(enumerate_combinations(k)), unobs_bits)
+    n_retained = 1 + len(effect_index_set(k, k_prime))
+    if len(unobs_bits) > 2**k - n_retained:
+        raise IdentificationError("more unobserved cells than negligible contrasts")
+    g = design_matrix(k).astype(float)
+    obs, uns = obs_mask.nonzero()[0], (~obs_mask).nonzero()[0]
+    ret, neg = np.arange(n_retained), np.arange(n_retained, 2**k)
+    g_oo = g[np.ix_(obs, ret)]
+    if uns.size == 0:
+        return g_oo.T.copy(), None
+    g_ou = g[np.ix_(uns, ret)]
+    g_uo = g[np.ix_(obs, neg)]
+    g_uu = g[np.ix_(uns, neg)]
+    sv = np.linalg.svd(g_uu, compute_uv=False)
+    if sv[-1] < tol * sv[0]:
+        raise IdentificationError("unobserved-by-negligible block is rank deficient")
+    effective = g_oo.T - g_ou.T @ np.linalg.pinv(g_uu.T, rcond=tol) @ g_uo.T
+    return effective, float(sv[-1])

@@ -396,6 +396,31 @@ class TestDiagnose:
         )
         assert code == EXIT_DATA
 
+    @pytest.mark.parametrize("column, cell", [("weight", "nan"), ("unit_index", "inf")])
+    def test_nonfinite_weights_file_value(self, tmp_path, capsys, column, cell):
+        data = tmp_path / "data.csv"
+        make_survey_like(data, n=300, seed=5)
+        rows = [[i, 1.0] for i in range(300)]
+        rows[6][["unit_index", "weight"].index(column)] = cell
+        wfile = tmp_path / "w.csv"
+        write_csv(wfile, ["unit_index", "weight"], rows)
+        code = main(
+            [
+                "diagnose",
+                "--data", str(data),
+                "--factors", "t1,t2,t3,t4",
+                "--covariates", "x1,x2,x3,x4,x5,x6",
+                "--outcome", "y",
+                "--weights", str(wfile),
+                "--out", str(tmp_path / "nf"),
+            ]
+        )
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"error: {wfile} line 8: non-finite value {cell!r} in column {column!r}\n"
+        )
+        assert not (tmp_path / "nf_smd.csv").exists()
+
 
 class TestSimulate:
     def test_three_factor_row_count(self, tmp_path):

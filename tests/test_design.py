@@ -14,7 +14,8 @@ from factorbal.design import (
     full_design,
     interaction_value,
 )
-from factorbal.errors import ConfigurationError, IdentificationError
+from factorbal.errors import ConfigurationError, FactorbalError, IdentificationError
+from oracles import incomplete_design_oracle
 
 # the 8x8 contrast matrix for three factors, column order:
 # summary, z1, z2, z3, z1z2, z1z3, z2z3, z1z2z3
@@ -203,6 +204,20 @@ class TestIncompleteDesign:
         recovered = des.effective @ means[:7] / 2 ** (k - 1)
         assert np.max(np.abs(recovered - tau[:7])) < 1e-8
 
+    def test_incomplete_recovers_true_effects_at_k12(self):
+        # two cells unobserved out of 4096; no 2^K x 2^K matrix is built
+        rng = np.random.default_rng(12)
+        k, k_prime = 12, 2
+        retained = [SUMMARY] + effect_index_set(k, k_prime)
+        tau = rng.normal(size=len(retained))
+        combos = enumerate_combinations(k)
+        means = sum(t * interaction_value(combos, e.members) for t, e in zip(tau, retained)) / 2
+        cells = rng.choice(2**k, size=2, replace=False)
+        des = build_incomplete_design(k, k_prime, combos[cells])
+        observed = np.setdiff1d(np.arange(2**k), cells)
+        recovered = des.effective @ means[observed] / 2 ** (k - 1)
+        assert np.max(np.abs(recovered - tau)) < 1e-8
+
     def test_unit_in_unobserved_cell_rejected(self):
         des = build_incomplete_design(3, 2, [(1, 1, 1)])
         with pytest.raises(IdentificationError):
@@ -240,6 +255,49 @@ class TestIncompleteDesign:
                 build_incomplete_design(3, 2, bad)
         exact = build_incomplete_design(3, 2, [(1.0, 1.0, 1.0)])
         assert np.array_equal(exact.unobserved, [[1, 1, 1]])
+
+
+# five cells whose unobserved-by-negligible block is singular; its Gram
+# matrix's smallest eigenvalue reads as a singular value of about 5e-8
+SQUARE_K4 = [(-1, -1, -1, -1), (-1, 1, -1, -1), (-1, -1, -1, 1), (-1, 1, -1, 1), (1, 1, -1, 1)]
+
+
+def _parity_cases():
+    rng = np.random.default_rng(7)
+    for k in range(2, 7):
+        for k_prime in range(1, k + 1):
+            q_minus = 2**k - 1 - len(effect_index_set(k, k_prime))
+            for size in sorted(set(rng.integers(1, q_minus + 2, size=6))):
+                cells = rng.choice(2**k, size=size, replace=False)
+                yield k, k_prime, enumerate_combinations(k)[cells]
+    yield 4, 2, np.array(SQUARE_K4)
+
+
+class TestIncompleteDesignParity:
+    """The q_u x q_u elimination against the pinv of the full contrast matrix."""
+
+    @pytest.mark.parametrize("k, k_prime, unobserved", list(_parity_cases()))
+    def test_matches_pinv_oracle(self, k, k_prime, unobserved):
+        try:
+            ref = incomplete_design_oracle(k, k_prime, unobserved)
+        except FactorbalError as exc:
+            with pytest.raises(type(exc)):
+                build_incomplete_design(k, k_prime, unobserved)
+            return
+        des = build_incomplete_design(k, k_prime, unobserved)
+        assert np.max(np.abs(des.effective - ref[0])) <= 1e-12
+        assert abs(des.uu_min_singular_value - ref[1]) <= 1e-12
+
+    def test_singular_square_block_rejected(self):
+        with pytest.raises(IdentificationError, match="rank"):
+            build_incomplete_design(4, 2, SQUARE_K4)
+
+    @pytest.mark.parametrize("k", range(2, 8))
+    def test_complete_design_is_the_contrast_matrix(self, k):
+        for k_prime in range(1, k + 1):
+            des = full_design(k, k_prime)
+            assert des.uu_min_singular_value is None
+            assert np.array_equal(des.effective, design_matrix(k)[:, : len(des.effects)].T)
 
 
 class TestInteractionValue:
