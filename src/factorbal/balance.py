@@ -21,7 +21,7 @@ import numpy as np
 from scipy import sparse
 
 from .data import Dataset
-from .design import Effect, FactorialDesign, SUMMARY, interaction_value
+from .design import FactorialDesign, SUMMARY, interaction_value
 from .errors import ConfigurationError, DataError
 
 BasisFunction = Callable[[np.ndarray], np.ndarray]
@@ -47,7 +47,6 @@ class BasisSpec:
 
     covariate_bases: Sequence[BasisFunction] | None = None
     model_flavor: str = "heterogeneous"
-    labels: Sequence[str] | None = None
 
     def __post_init__(self):
         if self.model_flavor not in ("additive", "heterogeneous"):
@@ -55,8 +54,8 @@ class BasisSpec:
                 f"unknown model flavor {self.model_flavor!r}"
             )
 
-    def evaluate(self, X: np.ndarray) -> tuple[np.ndarray, list[str]]:
-        """Evaluate the bases on all rows, returning (N x S) values and labels."""
+    def evaluate(self, X: np.ndarray) -> np.ndarray:
+        """Evaluate the bases on all rows, returning (N x S) values."""
         bases = self.covariate_bases
         if bases is None:
             bases = identity_bases(X.shape[1])
@@ -71,35 +70,13 @@ class BasisSpec:
             cols.append(v)
         if not cols:
             raise ConfigurationError("at least one basis function is required")
-        labels = list(self.labels) if self.labels is not None else [
-            f"h{s + 1}" for s in range(len(cols))
-        ]
-        return np.column_stack(cols), labels
+        return np.column_stack(cols)
 
 
 def split_contrast(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Nonnegative decomposition g = g_plus - g_minus."""
     g = np.asarray(g, dtype=float)
     return np.maximum(g, 0.0), np.maximum(-g, 0.0)
-
-
-@dataclass(frozen=True)
-class ConstraintRow:
-    """Provenance of one row of the balance system."""
-
-    effect: Effect
-    basis_id: int
-    interaction: tuple[int, ...]
-    sign: int  # +1 positive part, -1 negative part (incomplete designs only)
-    target: float
-
-    def key(self):
-        return (self.effect.members, self.basis_id, self.interaction, self.sign)
-
-    def label(self, basis_labels: Sequence[str]) -> str:
-        side = {1: "+", -1: "-"}[self.sign]
-        r = "*".join(f"z{j}" for j in self.interaction) or "1"
-        return f"{self.effect.label()}{side} | {basis_labels[self.basis_id]}*{r}"
 
 
 @dataclass(frozen=True)
@@ -114,20 +91,19 @@ class BalanceSystem:
     ``unit_cells`` holds each unit's observed-cell index. Products with B
     and the active curvature come from per-cell sums of H, so no P x N
     array is formed; ``B``, ``unit_targets`` and ``element_values`` build
-    the dense arrays on demand, for inspection and tests. ``rows``
-    carries provenance for each of the P rows.
+    the dense arrays on demand, for inspection and tests. ``rows`` holds
+    each row's key ``(effect members, basis column, interaction, sign)``,
+    with sign -1 for a negative-part row (incomplete designs only).
     """
 
     G: np.ndarray
     basis_ids: np.ndarray
     coef: np.ndarray
     unit_cells: np.ndarray
-    rows: tuple[ConstraintRow, ...]
+    rows: tuple[tuple, ...]
     elements: tuple[tuple[int, tuple[int, ...]], ...]
     basis_values: np.ndarray
-    basis_labels: tuple[str, ...]
     design: FactorialDesign
-    flavor: str
 
     @property
     def b(self) -> np.ndarray:
@@ -140,9 +116,6 @@ class BalanceSystem:
     @property
     def p(self) -> int:
         return self.G.shape[0]
-
-    def row_labels(self) -> list[str]:
-        return [r.label(self.basis_labels) for r in self.rows]
 
     @cached_property
     def _lift(self) -> sparse.csr_matrix:
@@ -242,7 +215,7 @@ def build_balance_system(
         raise ConfigurationError(
             f"dataset has {dataset.k} factors but the design expects {design.k}"
         )
-    H, labels = basis.evaluate(dataset.X)
+    H = basis.evaluate(dataset.X)
     unit_cells = design.observed_positions(dataset.Z)
     n, s_count = H.shape
     effects = [e for e in design.effects if e != SUMMARY]
@@ -252,7 +225,6 @@ def build_balance_system(
     # functions; the constant function always participates so that pure
     # treatment terms are covered and the side masses are pinned
     H = np.column_stack([H, np.ones(n)])
-    labels = labels + ["1"]
     const = s_count
     if basis.model_flavor == "heterogeneous":
         elements = [
@@ -293,21 +265,15 @@ def build_balance_system(
     if drop_redundant and (not design.complete or drop_redundant == "numeric"):
         chosen = _numeric_keep(G, basis_ids, coef, unit_cells, H)
         keep, G, basis_ids, coef = keep[chosen], G[chosen], basis_ids[chosen], coef[chosen]
-    targets = coef * H.sum(axis=0)[basis_ids]
     return BalanceSystem(
         G=G,
         basis_ids=basis_ids,
         coef=coef,
         unit_cells=unit_cells,
-        rows=tuple(
-            ConstraintRow(Effect(members), s, J, sign, float(t))
-            for (members, s, J, sign), t in zip((keys[i] for i in keep), targets)
-        ),
+        rows=tuple(keys[i] for i in keep),
         elements=tuple(elements),
         basis_values=H,
-        basis_labels=tuple(labels),
         design=design,
-        flavor=basis.model_flavor,
     )
 
 
@@ -330,56 +296,66 @@ def _row_keys(
             return tuple(x for x in J if x not in K)
         return J
 
-    seen = set()
-    keys = []
-
-    def emit(members, s, J, sign):
-        key = (members, s, J, sign)
-        if key not in seen:
-            seen.add(key)
-            keys.append(key)
-
-    for s, J in elements:
-        emit((), s, J, +1)
-    for K in effect_members:
-        for s, J in elements:
-            if complete:
-                emit(K, s, canonical(K, J), +1)
-            else:
-                emit(K, s, J, +1)
-                emit(K, s, J, -1)
-    return tuple(keys)
+    signs = (+1,) if complete else (+1, -1)
+    keys = [((), s, J, +1) for s, J in elements] + [
+        (K, s, canonical(K, J) if complete else J, sign)
+        for K in effect_members
+        for s, J in elements
+        for sign in signs
+    ]
+    # first occurrences, in order
+    return tuple(dict.fromkeys(keys))
 
 
 @lru_cache(maxsize=64)
-def _structural_keep_cached(keys: tuple[tuple, ...]) -> tuple[int, ...]:
-    term_index: dict[tuple, int] = {}
+def _structural_keep(keys: tuple[tuple, ...]) -> tuple[int, ...]:
+    """Indices of the complete-design rows, taken in order, that are
+    independent of the rows kept before them, decided from the keys alone.
 
-    def tid(s, M):
-        return term_index.setdefault((s, tuple(sorted(M))), len(term_index))
-
-    # a summary row is its J term; an effect-K row is half its J term plus
-    # half its symmetric-difference term
-    pairs = []
-    for members, s, J, _sign in keys:
-        M = tuple(sorted(set(members).symmetric_difference(J))) if members else J
-        pairs.append((tid(s, J), tid(s, M)))
-    rows = np.zeros((len(keys), len(term_index)))
-    for col in np.array(pairs).T:
-        np.add.at(rows, (np.arange(len(keys)), col), 0.5)
-    return tuple(_greedy_keep(rows, 1e-10))
-
-
-def _structural_keep(keys) -> list[int]:
-    """Indices of a maximal independent row subset, determined from the
-    rows' exact expansion into (basis, interaction) product terms.
-
-    On a complete design a positive-part row for effect K and interaction
-    J expands into half the J term plus half the symmetric-difference
-    term, identically in coefficients and targets, so independence can be
-    decided without touching the data (and cached per system signature).
+    A row ``(K, s, J)`` is half the (basis, interaction) term ``(s, J)``
+    plus half the term ``(s, K sym-diff J)``, identically in coefficients
+    and targets; a summary row ``((), s, J)`` is the term ``(s, J)``. Such
+    rows are independent exactly when each connected component of the
+    terms they join is a tree plus at most one odd cycle or summary row,
+    which makes it span all its terms. A union-find tracks each term's
+    path parity to its root and which components are spanned; a summary
+    row joins its term to a ground vertex that counts as spanned. A row
+    joining two components is kept unless both are spanned; one within a
+    component is kept iff the component is not spanned and the ends have
+    equal parity (it closes an odd cycle).
     """
-    return list(_structural_keep_cached(tuple(keys)))
+    parent: dict = {}
+    parity: dict = {}  # parity of the step to ``parent``
+    spanned = {None}  # roots of spanned components; None is the ground
+
+    def find(t):
+        """Root of ``t`` and ``t``'s parity relative to it."""
+        path = []
+        while parent.setdefault(t, t) != t:
+            path.append(t)
+            t = parent[t]
+        p = 0
+        for u in reversed(path):
+            p ^= parity[u]
+            parent[u], parity[u] = t, p
+        return t, p
+
+    keep = []
+    for i, (members, s, J, _sign) in enumerate(keys):
+        a, pa = find((s, J))
+        b, pb = find((s, tuple(sorted(set(members) ^ set(J)))) if members else None)
+        if a != b:
+            if a in spanned and b in spanned:
+                continue
+            parent[b], parity[b] = a, pa ^ pb ^ 1
+            if b in spanned:
+                spanned.add(a)
+        elif a in spanned or pa != pb:
+            continue
+        else:
+            spanned.add(a)
+        keep.append(i)
+    return tuple(keep)
 
 
 def _numeric_keep(
@@ -467,13 +443,6 @@ class ResidualReport:
 
     residuals: np.ndarray
     max_abs: float
-    by_effect: dict[tuple[int, ...], float]
-
-    def __str__(self):
-        lines = [f"max |Bw - b| = {self.max_abs:.3e}"]
-        for members, v in sorted(self.by_effect.items()):
-            lines.append(f"  {Effect(members).label()}: {v:.3e}")
-        return "\n".join(lines)
 
 
 def balance_residuals(weights: np.ndarray, system: BalanceSystem) -> ResidualReport:
@@ -484,8 +453,4 @@ def balance_residuals(weights: np.ndarray, system: BalanceSystem) -> ResidualRep
             f"weights have length {w.shape[0]}, expected {system.n}"
         )
     res = system.matvec(w) - system.b
-    by_effect: dict[tuple[int, ...], float] = {}
-    for row, r in zip(system.rows, res):
-        m = row.effect.members
-        by_effect[m] = max(by_effect.get(m, 0.0), abs(float(r)))
-    return ResidualReport(res, float(np.max(np.abs(res), initial=0.0)), by_effect)
+    return ResidualReport(res, float(np.max(np.abs(res), initial=0.0)))

@@ -323,11 +323,21 @@ def _build_config(args) -> RunConfig:
             file_cfg = json.loads(Path(args.config).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise DataError(f"cannot read config {args.config}: {exc}") from exc
+        if not isinstance(file_cfg, dict):
+            raise ConfigurationError(f"config {args.config} must be a JSON object")
 
     def pick(flag_value, key, default=None):
         if flag_value is not None:
             return flag_value
         return file_cfg.get(key, default)
+
+    def whole(key, value):
+        try:
+            if not isinstance(value, bool) and int(value) == float(value):
+                return int(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+        raise ConfigurationError(f"{key} must be an integer, got {value!r}")
 
     def split_cols(v):
         if v is None:
@@ -360,7 +370,7 @@ def _build_config(args) -> RunConfig:
     max_iters = pick(args.max_iters, "max_iters")
     if max_iters is not None:
         try:
-            solver = SolverOptions(max_iters=int(max_iters))
+            solver = SolverOptions(max_iters=whole("max_iters", max_iters))
         except ValueError as exc:
             raise ConfigurationError(f"invalid max iterations {max_iters!r}: {exc}") from None
     return RunConfig(
@@ -369,7 +379,7 @@ def _build_config(args) -> RunConfig:
         covariate_columns=covariates,
         outcome_column=outcome,
         factor_coding=pick(args.coding, "factor_coding", "pm1"),
-        max_order=int(pick(args.max_order, "max_order", 2)),
+        max_order=whole("max_order", pick(args.max_order, "max_order", 2)),
         model_flavor=pick(args.flavor, "model_flavor", "heterogeneous"),
         unobserved=unobserved,
         out_prefix=pick(args.out, "out_prefix", "factorbal"),

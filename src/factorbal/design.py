@@ -225,6 +225,21 @@ class FactorialDesign:
         return self.effective[pos]
 
 
+def _negligible_block(k: int, k_prime: int, cells: np.ndarray) -> np.ndarray:
+    """(cells, effects of order above ``k_prime``) contrast coefficients,
+    effects in ``effect_index_set`` order: -1 raised to the parity of the
+    AND of the effect's and the cell's -1 factor bitmasks (bit m - 1 for
+    factor m), folded by integer shifts."""
+    masks = np.concatenate([
+        (1 << np.array(list(itertools.combinations(range(k), order)))).sum(axis=1)
+        for order in range(k_prime + 1, k + 1)
+    ])
+    x = ((cells < 0) @ (1 << np.arange(k)))[:, None] & masks
+    for shift in (16, 8, 4, 2, 1):
+        x ^= x >> shift
+    return 1.0 - 2.0 * (x & 1)
+
+
 def full_design(k: int, k_prime: int | None = None) -> FactorialDesign:
     """A complete 2^k design retaining effects up to order ``k_prime``
     (default ``k``): ``build_incomplete_design`` with no unobserved cell."""
@@ -279,8 +294,7 @@ def build_incomplete_design(
     effective = _contrast_rows(retained, observed)
     min_sv = None
     if q_u:
-        negligible = effect_index_set(k, k)[len(retained) - 1 :]
-        sv = np.linalg.svd(_contrast_rows(negligible, unobs_sorted).T, compute_uv=False)
+        sv = np.linalg.svd(_negligible_block(k, k_prime, unobs_sorted), compute_uv=False)
         min_sv = float(sv[-1])
         if min_sv < RANK_TOL * sv[0]:
             raise IdentificationError(

@@ -40,6 +40,8 @@ STALLED = "stalled"
 DIVERGED = "diverged"
 # objective changes this small relative to the objective are roundoff
 ROUNDOFF = 8 * np.finfo(float).eps
+# ridge added to the Newton Hessian, relative to its mean diagonal
+HESSIAN_RIDGE = 1e-10
 # backtracking line search: step shrink factor and Armijo slope fraction
 LINE_SEARCH_SHRINK = 0.5
 LINE_SEARCH_SLOPE = 1e-4
@@ -59,12 +61,10 @@ class SolverOptions:
 
     grad_tol: float | None = None
     max_iters: int = 500
-    hessian_regularization: float = 1e-10
 
     def __post_init__(self):
-        for name in ("max_iters", "hessian_regularization"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        if self.max_iters <= 0:
+            raise ValueError("max_iters must be positive")
         if self.grad_tol is not None and self.grad_tol <= 0:
             raise ValueError("grad_tol must be positive")
 
@@ -112,13 +112,13 @@ def _eval(lam, system, b):
     return u, neg, w, obj, grad
 
 
-def _newton_direction(system, neg, grad, reg_factor):
+def _newton_direction(system, neg, grad):
     """Ascent direction from the generalized Hessian -(1/2) B_act B_act'."""
     if not np.any(neg):
         return None
     A = 0.5 * system.active_gram(neg)
     tr = np.trace(A)
-    ridge = reg_factor * tr / A.shape[0] if tr > 0 else reg_factor
+    ridge = HESSIAN_RIDGE * tr / A.shape[0] if tr > 0 else HESSIAN_RIDGE
     A[np.diag_indices_from(A)] += ridge
     try:
         c, low = sla.cho_factor(A, check_finite=False)
@@ -164,7 +164,7 @@ def solve_dual(system: BalanceSystem, options: SolverOptions | None = None) -> D
         if np.max(np.abs(lam), initial=0.0) > DIVERGENCE_NORM:
             status, reason = INFEASIBLE, DIVERGED
             break
-        d = _newton_direction(system, neg, grad, opts.hessian_regularization)
+        d = _newton_direction(system, neg, grad)
         if d is None:
             d = grad / max(1.0, gnorm)
         step = 1.0

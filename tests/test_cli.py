@@ -284,6 +284,41 @@ class TestEstimate:
         assert not (tmp_path / "cfg_effects.csv").exists()
 
     @pytest.mark.parametrize(
+        "entries, named",
+        [
+            (None, "JSON object"),  # the whole config is the list [1, 2]
+            ({"max_order": "x"}, "max_order"),
+            ({"max_order": 1.7}, "max_order"),
+            ({"max_iters": 2.5}, "max_iters"),
+            ({"max_order": True}, "max_order"),
+        ],
+        ids=[
+            "list-config",
+            "text-max-order",
+            "fractional-max-order",
+            "fractional-max-iters",
+            "boolean-max-order",
+        ],
+    )
+    def test_bad_config_value_is_usage_error(self, tmp_path, capsys, entries, named):
+        data = tmp_path / "data.csv"
+        make_survey_like(data, n=400, seed=8)
+        config = [1, 2] if entries is None else {
+            "data_path": str(data),
+            "factor_columns": ["t1", "t2", "t3", "t4"],
+            "covariate_columns": ["x1", "x2"],
+            "outcome_column": "y",
+            "out_prefix": str(tmp_path / "cfg"),
+            **entries,
+        }
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(config))
+        assert main(["estimate", "--config", str(cfg)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+        assert not (tmp_path / "cfg_effects.csv").exists()
+
+    @pytest.mark.parametrize(
         "extra",
         [
             ["--unobserved", "1,a,1,1,1"],  # non-integer level

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from factorbal.design import (
     Effect,
     SUMMARY,
+    _negligible_block,
     build_incomplete_design,
     contrast_vector,
     design_matrix,
@@ -291,6 +292,16 @@ class TestIncompleteDesignParity:
     def test_singular_square_block_rejected(self):
         with pytest.raises(IdentificationError, match="rank"):
             build_incomplete_design(4, 2, SQUARE_K4)
+
+    @pytest.mark.parametrize("k, k_prime", [(3, 1), (6, 2), (9, 4), (17, 14)])
+    def test_negligible_block_matches_contrasts(self, k, k_prime):
+        # the bitmask parities against the per-effect products; at K=17
+        # the masks reach bit 16, past the first fold of the parity
+        rng = np.random.default_rng(k)
+        cells = enumerate_combinations(k)[rng.choice(2**k, 5, replace=False)]
+        negligible = [e for e in effect_index_set(k, k) if e.order > k_prime]
+        want = np.array([interaction_value(cells, e.members) for e in negligible]).T
+        assert np.array_equal(_negligible_block(k, k_prime, cells), want)
 
     @pytest.mark.parametrize("k", range(2, 8))
     def test_complete_design_is_the_contrast_matrix(self, k):

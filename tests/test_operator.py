@@ -86,16 +86,16 @@ def assert_close(got, want, rtol=RTOL):
 def defined_rows(ds, system):
     """B and the per-unit targets from each row's definition."""
     design = system.design
-    pos = {e: i for i, e in enumerate(design.effects)}
+    pos = {e.members: i for i, e in enumerate(design.effects)}
     unit_parts = split_contrast(design.contrasts(ds.Z, design.effects))
     cell_parts = split_contrast(design.contrasts(design.observed, design.effects))
     H = system.basis_values
     B, T = [], []
-    for r in system.rows:
-        side, e = (0 if r.sign > 0 else 1), pos[r.effect]
-        h = H[:, r.basis_id]
-        B.append(unit_parts[side][e] * h * interaction_value(ds.Z, r.interaction))
-        coef = cell_parts[side][e] @ interaction_value(design.observed, r.interaction)
+    for members, s, J, sign in system.rows:
+        side, e = (0 if sign > 0 else 1), pos[members]
+        h = H[:, s]
+        B.append(unit_parts[side][e] * h * interaction_value(ds.Z, J))
+        coef = cell_parts[side][e] @ interaction_value(design.observed, J)
         T.append(coef / 2 ** (design.k - 1) * h)
     return np.array(B), np.array(T)
 
@@ -107,7 +107,6 @@ def test_dense_views_match_row_definitions(name):
     assert_close(system.B, B)
     assert_close(system.unit_targets, T)
     assert_close(system.b, T.sum(axis=1))
-    assert_close([r.target for r in system.rows], T.sum(axis=1))
     H = system.basis_values
     q = [H[:, s] * interaction_value(ds.Z, J) for s, J in system.elements]
     assert_close(system.element_values, np.array(q))
@@ -229,17 +228,47 @@ def test_greedy_keep_matches_oracle_on_low_rank_rows(seed, n, dim, rank):
     assert _greedy_keep(rows, 1e-10) == numeric_keep(rows, rows[:, :0])
 
 
+# (k', covariate bases) per K: every order with one and three bases, plus
+# mc5's shape at K=5 (k'=2, five bases) and K=6 at k' <= 2
+STRUCTURAL_SHAPES = {
+    **{k: [(k_prime, s) for s in (1, 3) for k_prime in range(1, k + 1)] for k in (2, 3, 4)},
+    5: [(k_prime, s) for s in (1, 3) for k_prime in range(1, 6)] + [(2, 5)],
+    6: [(k_prime, s) for k_prime in (1, 2) for s in (3, 5)],
+}
+
+
 @pytest.mark.parametrize("flavor", ["heterogeneous", "additive"])
-@pytest.mark.parametrize("k", [2, 3, 4, 5])
+@pytest.mark.parametrize("k", list(STRUCTURAL_SHAPES))
 def test_structural_filter_keeps_oracle_rows(k, flavor):
     combos = enumerate_combinations(k)
     rng = np.random.default_rng(k)
-    for s_count in (1, 3):
+    for k_prime, s_count in STRUCTURAL_SHAPES[k]:
         ds = Dataset(combos, rng.normal(size=(2**k, s_count)), np.zeros(2**k))
-        for k_prime in range(1, k + 1):
-            full = build_balance_system(ds, BasisSpec(model_flavor=flavor), full_design(k, k_prime))
-            keys = [r.key() for r in full.rows]
-            assert _structural_keep(keys) == structural_keep(keys)
+        full = build_balance_system(ds, BasisSpec(model_flavor=flavor), full_design(k, k_prime))
+        assert list(_structural_keep(full.rows)) == structural_keep(full.rows)
+
+
+def test_structural_filter_on_hand_built_keys():
+    # a row (K, s, J) joins the terms (s, J) and (s, K sym-diff J); a
+    # summary row ((), s, J) is the term (s, J) alone
+    keys = (
+        ((1,), 0, (), 1),  # 0: () - (1)
+        ((2,), 0, (1,), 1),  # 1: (1) - (1,2)
+        ((1,), 0, (2,), 1),  # 2: (2) - (1,2)
+        ((2,), 0, (), 1),  # 3: () - (2) closes an even cycle: dropped
+        ((1,), 1, (), 1),  # 4: () - (1)
+        ((2,), 1, (1,), 1),  # 5: (1) - (1,2)
+        ((1, 2), 1, (), 1),  # 6: () - (1,2) closes an odd cycle: kept
+        ((), 1, (1,), 1),  # 7: summary on the spanned component: dropped
+        ((), 0, (), 1),  # 8: summary on the even-cycle component: kept
+        ((), 2, (), 1),  # 9: summary: kept, spans {()}
+        ((), 2, (1,), 1),  # 10: summary: kept, spans {(1)}
+        ((1,), 2, (), 1),  # 11: () - (1) joins two spanned components: dropped
+        ((2,), 2, (), 1),  # 12: () - (2) joins spanned and new: kept
+    )
+    expected = [0, 1, 2, 4, 5, 6, 8, 9, 10, 12]
+    assert list(_structural_keep(keys)) == expected
+    assert structural_keep(keys) == expected
 
 
 @pytest.mark.parametrize("name", ["complete", "additive", "incomplete", "five-factor"])

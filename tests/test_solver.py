@@ -184,14 +184,15 @@ class TestSolveDual:
         assert sol.converged
         assert sol.iterations == 1
 
-    def test_first_step_gives_minimum_norm_weights(self):
+    def test_first_step_gives_minimum_norm_weights(self, monkeypatch):
         # from lam = 0 every unit sits at the kink and counts as active, so
         # the first Newton step's weights are B'(BB')^{-1} b; a tiny ridge
         # keeps the regularization's own bias below the tolerance
+        monkeypatch.setattr(solver, "HESSIAN_RIDGE", 1e-14)
         _, system = feasible_instance(11, n=80, k=2, d=1)
         w_min = np.linalg.lstsq(system.B, system.b, rcond=None)[0]
         assert np.all(w_min > 0)
-        sol = solve_dual(system, SolverOptions(max_iters=1, hessian_regularization=1e-14))
+        sol = solve_dual(system, SolverOptions(max_iters=1))
         assert sol.iterations == 1
         assert np.max(np.abs(sol.weights - w_min)) <= 1e-10
 
