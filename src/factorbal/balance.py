@@ -206,11 +206,14 @@ def build_balance_system(
     With ``drop_redundant=True`` rows that are exact linear combinations
     of earlier rows (jointly in coefficients and targets) are removed,
     which keeps the solver unchanged but makes the curvature matrix used
-    by the variance estimator invertible. On complete designs the removal
-    is decided structurally (data independent); pass ``"numeric"`` to also
-    prune rows that only coincide on this particular dataset, e.g. under
-    collinear covariates.
+    by the variance estimator invertible. On complete designs that is
+    decided from the row keys alone; ``"numeric"`` also removes the rows
+    that are redundant only on this dataset, e.g. under collinear covariates.
     """
+    if drop_redundant not in (False, True, "numeric"):
+        raise ConfigurationError(
+            f"drop_redundant must be False, True or 'numeric', got {drop_redundant!r}"
+        )
     if dataset.k != design.k:
         raise ConfigurationError(
             f"dataset has {dataset.k} factors but the design expects {design.k}"
@@ -235,11 +238,11 @@ def build_balance_system(
             (const, J) for J in interactions
         ]
 
+    # on a complete design redundancy is a fact about the keys alone
+    structural = bool(design.complete and drop_redundant and drop_redundant != "numeric")
     keys = _row_keys(
-        tuple(e.members for e in effects), tuple(elements), design.complete
+        tuple(e.members for e in effects), tuple(elements), design.complete, structural
     )
-    if drop_redundant and design.complete and drop_redundant != "numeric":
-        keys = [keys[i] for i in _structural_keep(keys)]
 
     # row (K, s, J, sign) weighs basis column s by the K side's part of
     # the contrast times the J interaction, both constant within a cell:
@@ -262,7 +265,7 @@ def build_balance_system(
     keep = np.flatnonzero(G.any(axis=1))
     G, basis_ids = G[keep], basis_ids[keep]
     coef = G.sum(axis=1) / 2 ** (design.k - 1)
-    if drop_redundant and (not design.complete or drop_redundant == "numeric"):
+    if drop_redundant and not structural:
         chosen = _numeric_keep(G, basis_ids, coef, unit_cells, H)
         keep, G, basis_ids, coef = keep[chosen], G[chosen], basis_ids[chosen], coef[chosen]
     return BalanceSystem(
@@ -282,6 +285,7 @@ def _row_keys(
     effect_members: tuple[tuple[int, ...], ...],
     elements: tuple[tuple[int, tuple[int, ...]], ...],
     complete: bool,
+    independent: bool,
 ) -> tuple[tuple, ...]:
     """Deduplicated row keys (effect members, basis id, interaction, sign).
 
@@ -289,6 +293,14 @@ def _row_keys(
     interaction canonicalized (J replaced by J minus K when K is contained
     in J, an exact identity there). On an incomplete design both signed
     rows are kept and no canonicalization applies.
+
+    With ``independent`` (complete designs only) a key is kept iff it is
+    independent of the kept keys before it, in coefficients and targets.
+    A summary row ``((), s, J)`` is the (basis, interaction) term
+    ``(s, J)``; a row ``(K, s, J)`` is half the term ``(s, J)`` plus half
+    ``(s, K sym-diff J)``, one of them an element term. The summary rows
+    come first and span every element term, so a row is independent of
+    those before it exactly when it brings in a term not seen before.
     """
 
     def canonical(K: tuple[int, ...], J: tuple[int, ...]) -> tuple[int, ...]:
@@ -303,59 +315,19 @@ def _row_keys(
         for s, J in elements
         for sign in signs
     ]
-    # first occurrences, in order
-    return tuple(dict.fromkeys(keys))
-
-
-@lru_cache(maxsize=64)
-def _structural_keep(keys: tuple[tuple, ...]) -> tuple[int, ...]:
-    """Indices of the complete-design rows, taken in order, that are
-    independent of the rows kept before them, decided from the keys alone.
-
-    A row ``(K, s, J)`` is half the (basis, interaction) term ``(s, J)``
-    plus half the term ``(s, K sym-diff J)``, identically in coefficients
-    and targets; a summary row ``((), s, J)`` is the term ``(s, J)``. Such
-    rows are independent exactly when each connected component of the
-    terms they join is a tree plus at most one odd cycle or summary row,
-    which makes it span all its terms. A union-find tracks each term's
-    path parity to its root and which components are spanned; a summary
-    row joins its term to a ground vertex that counts as spanned. A row
-    joining two components is kept unless both are spanned; one within a
-    component is kept iff the component is not spanned and the ends have
-    equal parity (it closes an odd cycle).
-    """
-    parent: dict = {}
-    parity: dict = {}  # parity of the step to ``parent``
-    spanned = {None}  # roots of spanned components; None is the ground
-
-    def find(t):
-        """Root of ``t`` and ``t``'s parity relative to it."""
-        path = []
-        while parent.setdefault(t, t) != t:
-            path.append(t)
-            t = parent[t]
-        p = 0
-        for u in reversed(path):
-            p ^= parity[u]
-            parent[u], parity[u] = t, p
-        return t, p
-
-    keep = []
-    for i, (members, s, J, _sign) in enumerate(keys):
-        a, pa = find((s, J))
-        b, pb = find((s, tuple(sorted(set(members) ^ set(J)))) if members else None)
-        if a != b:
-            if a in spanned and b in spanned:
-                continue
-            parent[b], parity[b] = a, pa ^ pb ^ 1
-            if b in spanned:
-                spanned.add(a)
-        elif a in spanned or pa != pb:
-            continue
-        else:
-            spanned.add(a)
-        keep.append(i)
-    return tuple(keep)
+    keys = tuple(dict.fromkeys(keys))  # first occurrences, in order
+    if not independent:
+        return keys
+    seen: set = set()
+    kept = []
+    for key in keys:
+        members, s, J, _sign = key
+        terms = {(s, J), (s, tuple(sorted(set(members) ^ set(J))))}
+        assert not members or terms & seen, f"row {key} touches no spanned term"
+        if not terms <= seen:
+            seen |= terms
+            kept.append(key)
+    return tuple(kept)
 
 
 def _numeric_keep(
@@ -364,7 +336,6 @@ def _numeric_keep(
     coef: np.ndarray,
     unit_cells: np.ndarray,
     H: np.ndarray,
-    tol: float = 1e-10,
 ) -> list[int]:
     """Greedy independent subset of the stacked [coefficients | targets]
     rows of the factored system with these ``BalanceSystem`` fields
@@ -374,39 +345,42 @@ def _numeric_keep(
     with ``R_c`` the R factor of H over cell c's units and ``R_H`` that of
     all of H, row r becomes ``[G[r, c] R_c[:, s_r]]_c ++ [coef_r R_H[:, s_r]]``,
     (cells + 1) * S long whatever N is, then kept by ``_greedy_keep``,
-    which screens them a block at a time against the kept span.
+    which screens them a block at a time against the kept span. Each
+    factor is taken with S zero rows appended, which leave the Gram
+    matrix as it is, so it is S x S even for a cell with fewer units.
     """
     order = np.argsort(unit_cells, kind="stable")
     bounds = np.cumsum(np.bincount(unit_cells, minlength=G.shape[1]))
-    blocks = [
-        G[:, [c]] * np.linalg.qr(H[unit], mode="r")[:, basis_ids].T
-        for c, unit in enumerate(np.split(order, bounds[:-1]))
-    ]
-    blocks.append(coef[:, None] * np.linalg.qr(H, mode="r")[:, basis_ids].T)
-    return _greedy_keep(np.hstack(blocks), tol)
+    units = np.split(order, bounds[:-1]) + [slice(None)]  # each cell's, then all
+    pad = np.zeros((H.shape[1], H.shape[1]))
+    R = np.stack([np.linalg.qr(np.vstack([H[u], pad]), mode="r") for u in units])
+    rows = np.column_stack([G, coef])[:, :, None] * R[:, :, basis_ids].transpose(2, 0, 1)
+    return _greedy_keep(rows.reshape(len(G), -1))
 
 
-# rows screened per matmul in ``_greedy_keep``, and the fraction of the
-# tolerance below which a screened residual drops a row unexamined
+# relative residual below which a row counts as dependent, rows screened
+# per matmul in ``_greedy_keep``, and the fraction of the tolerance below
+# which a screened residual drops a row unexamined
+_KEEP_TOL = 1e-10
 _SCREEN_BLOCK = 128
 _SCREEN_MARGIN = 0.01
 
 
-def _greedy_keep(rows: np.ndarray, tol: float) -> list[int]:
+def _greedy_keep(rows: np.ndarray) -> list[int]:
     """Indices of the rows, taken in order, whose component orthogonal to
     the kept ones (two classical Gram-Schmidt passes against the kept
-    rows as a matrix) exceeds ``tol`` times their norm; zero rows are
-    skipped.
+    rows as a matrix) exceeds ``_KEEP_TOL`` times their norm; zero rows
+    are skipped.
 
     Rows are screened ``_SCREEN_BLOCK`` at a time by one product with an
     orthonormal basis of the kept span's orthogonal complement, recomputed
     only when the kept set has grown since the last block. That gives
     each row's residual against the rows kept before its block. The kept
     span only grows, so a row whose residual is below
-    ``_SCREEN_MARGIN * tol`` times its norm would fail the test anyway (the
-    margin covers the two computations' rounding) and is dropped; the
-    others take the Gram-Schmidt test in order, so the kept indices are
-    those of the row-by-row loop.
+    ``_SCREEN_MARGIN * _KEEP_TOL`` times its norm would fail the test
+    anyway (the margin covers the two computations' rounding) and is
+    dropped; the others take the Gram-Schmidt test in order, so the kept
+    indices are those of the row-by-row loop.
     """
     n_rows, dim = rows.shape
     basis = np.empty((min(n_rows, dim), dim))
@@ -419,7 +393,7 @@ def _greedy_keep(rows: np.ndarray, tol: float) -> list[int]:
             complement = full[:, screened_rank:]
         block = rows[start : start + _SCREEN_BLOCK]
         residual = np.linalg.norm(block @ complement, axis=1)
-        floor = _SCREEN_MARGIN * tol * np.linalg.norm(block, axis=1)
+        floor = _SCREEN_MARGIN * _KEEP_TOL * np.linalg.norm(block, axis=1)
         for i in np.flatnonzero(residual > floor):
             v = block[i]
             scale = np.linalg.norm(v)
@@ -429,7 +403,7 @@ def _greedy_keep(rows: np.ndarray, tol: float) -> list[int]:
             for _ in range(2):
                 v = v - (q @ v) @ q
             nrm = np.linalg.norm(v)
-            if nrm > tol * scale:
+            if nrm > _KEEP_TOL * scale:
                 basis[len(keep)] = v / nrm
                 keep.append(start + int(i))
                 if len(keep) == basis.shape[0]:

@@ -339,17 +339,22 @@ def _build_config(args) -> RunConfig:
             pass
         raise ConfigurationError(f"{key} must be an integer, got {value!r}")
 
-    def split_cols(v):
-        if v is None:
-            return None
-        if isinstance(v, list):
-            return v
-        return [c.strip() for c in str(v).split(",") if c.strip()]
+    def text(key, value):
+        if value is not None and not isinstance(value, str):
+            raise ConfigurationError(f"{key} must be a string, got {value!r}")
+        return value
 
-    data_path = pick(args.data, "data_path")
-    factors = split_cols(pick(args.factors, "factor_columns"))
-    covariates = split_cols(pick(args.covariates, "covariate_columns"))
-    outcome = pick(args.outcome, "outcome_column")
+    def split_cols(key, v):
+        if isinstance(v, str):
+            return [c.strip() for c in v.split(",") if c.strip()]
+        if v is not None and not (isinstance(v, list) and all(isinstance(c, str) for c in v)):
+            raise ConfigurationError(f"{key} must be a list of column names, got {v!r}")
+        return v
+
+    data_path = text("data_path", pick(args.data, "data_path"))
+    factors = split_cols("factor_columns", pick(args.factors, "factor_columns"))
+    covariates = split_cols("covariate_columns", pick(args.covariates, "covariate_columns"))
+    outcome = text("outcome_column", pick(args.outcome, "outcome_column"))
     if not data_path or not factors or not covariates or not outcome:
         raise ConfigurationError(
             "data path, factor, covariate and outcome columns are all required "

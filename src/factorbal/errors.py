@@ -31,7 +31,9 @@ class VarianceError(FactorbalError):
     """The variance estimator's curvature matrix is singular.
 
     Usually means the balance system carries linearly dependent rows;
-    rebuild it with ``drop_redundant=True`` or inspect rank diagnostics.
+    rebuild it with ``drop_redundant="numeric"``, which also removes rows
+    that are redundant only on this data (``True`` decides from the row
+    keys alone on a complete design).
     """
 
 

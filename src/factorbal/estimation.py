@@ -73,8 +73,8 @@ def weighted_estimates(
     if evals.min() < MIN_CURVATURE_EIGENVALUE:
         raise VarianceError(
             f"curvature matrix is singular (min eigenvalue {evals.min():.2e}); "
-            "rebuild the balance system with drop_redundant=True or inspect "
-            "row rank diagnostics"
+            "rebuild the balance system with drop_redundant='numeric', which "
+            "also removes rows that are redundant only on this data"
         )
     cond = evals.max() / evals.min()
     if cond > 1e10:

@@ -202,6 +202,12 @@ class TestBuildSystem:
         with pytest.raises(ConfigurationError):
             BasisSpec(model_flavor="quadratic")
 
+    @pytest.mark.parametrize("mode", ["Numeric", "structural", None, 2])
+    def test_drop_redundant_validation(self, mode):
+        ds = random_dataset(0)
+        with pytest.raises(ConfigurationError, match="drop_redundant"):
+            build_balance_system(ds, BasisSpec(), full_design(3, 2), drop_redundant=mode)
+
     def test_additive_flavor_rows(self):
         ds = random_dataset(4, d=2)
         system = build_balance_system(

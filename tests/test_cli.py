@@ -291,6 +291,11 @@ class TestEstimate:
             ({"max_order": 1.7}, "max_order"),
             ({"max_iters": 2.5}, "max_iters"),
             ({"max_order": True}, "max_order"),
+            ({"data_path": 1.5}, "data_path"),
+            ({"outcome_column": ["y"]}, "outcome_column"),
+            ({"factor_columns": [["t1"], "t2", "t3", "t4"]}, "factor_columns"),
+            ({"covariate_columns": ["x1", 2]}, "covariate_columns"),
+            ({"factor_columns": 4}, "factor_columns"),
         ],
         ids=[
             "list-config",
@@ -298,6 +303,11 @@ class TestEstimate:
             "fractional-max-order",
             "fractional-max-iters",
             "boolean-max-order",
+            "float-data-path",
+            "list-outcome",
+            "nested-factor-column",
+            "numeric-covariate-column",
+            "numeric-factor-columns",
         ],
     )
     def test_bad_config_value_is_usage_error(self, tmp_path, capsys, entries, named):
@@ -317,6 +327,26 @@ class TestEstimate:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err
         assert not (tmp_path / "cfg_effects.csv").exists()
+
+    def test_descriptor_data_path_is_usage_error(self, tmp_path, capsys):
+        # an integer data path must not be opened as a file descriptor
+        data = tmp_path / "data.csv"
+        make_survey_like(data, n=400, seed=8)
+        fd = os.open(data, os.O_RDONLY)
+        try:
+            cfg = tmp_path / "run.json"
+            cfg.write_text(json.dumps({
+                "data_path": fd,
+                "factor_columns": ["t1", "t2", "t3", "t4"],
+                "covariate_columns": ["x1", "x2"],
+                "outcome_column": "y",
+                "out_prefix": str(tmp_path / "cfg"),
+            }))
+            assert main(["estimate", "--config", str(cfg)]) == EXIT_DATA
+            assert "data_path" in capsys.readouterr().err
+            assert os.read(fd, 2) == b"t1"  # still open and unread
+        finally:
+            os.close(fd)
 
     @pytest.mark.parametrize(
         "extra",

@@ -208,6 +208,28 @@ class TestVariance:
         with pytest.raises(VarianceError):
             estimate(ds, redundant, sol2, Effect((1,)))
 
+    def test_singular_curvature_advice_gives_finite_variances(self):
+        # X3 = X1 - X2: on a complete design True decides from the keys
+        # alone, so the rows redundant only on this data stay until the
+        # advised "numeric" build removes them
+        ds, _ = generate(Scenario("three_factor", 600, "Y1", seed=0), 0)
+        X = ds.X[:, :3].copy()
+        X[:, 2] = X[:, 0] - X[:, 1]
+        ds = Dataset(ds.Z, X, ds.Y)
+        design, effects = full_design(3, 1), effect_index_set(3, 1)
+        system = build_balance_system(ds, BasisSpec(), design, drop_redundant=True)
+        sol = solve_dual(system)
+        assert sol.converged
+        with pytest.raises(VarianceError, match="drop_redundant='numeric'") as info:
+            weighted_estimates(ds, system, sol.weights, sol.lam, effects)
+        assert "drop_redundant=True" not in str(info.value)
+        slim = build_balance_system(ds, BasisSpec(), design, drop_redundant="numeric")
+        assert slim.p < system.p
+        sol = solve_dual(slim)
+        assert sol.converged
+        for est in weighted_estimates(ds, slim, sol.weights, sol.lam, effects):
+            assert np.isfinite(est.tau_hat) and np.isfinite(est.sigma2_hat) and est.sigma2_hat > 0
+
     def test_ci_construction(self):
         ds, design, system, sol = converged_fit(seed=23, n=200)
         ests = weighted_estimates(ds, system, sol.weights, sol.lam, effect_index_set(3, 1))

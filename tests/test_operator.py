@@ -18,7 +18,6 @@ from factorbal.balance import (
     BasisSpec,
     _greedy_keep,
     _numeric_keep,
-    _structural_keep,
     build_balance_system,
     split_contrast,
 )
@@ -141,6 +140,14 @@ def with_covariates(ds, make):
     return Dataset(ds.Z, make(ds.X), ds.Y)
 
 
+def with_few_units(ds, cell, count):
+    """``ds`` keeping only ``count`` of ``cell``'s units."""
+    inside = np.flatnonzero(np.all(ds.Z == np.array(cell), axis=1))
+    keep = np.ones(ds.n, dtype=bool)
+    keep[inside[count:]] = False
+    return Dataset(ds.Z[keep], ds.X[keep], ds.Y[keep])
+
+
 def k_prime_one_without(cells):
     """Three-factor main-effects design without ``cells``, on data with
     no units there."""
@@ -174,6 +181,11 @@ FILTER_DRAWS = {
                                       build_incomplete_design(5, 2, FIVE_SPARSE[:1])),
     "five-factor-three-empty": lambda: (without_cells(five_factor(12, 800), FIVE_SPARSE, d=2),
                                         build_incomplete_design(5, 2, FIVE_SPARSE)),
+    # an observed cell with two units, fewer than the basis columns
+    "few-units-cell": lambda: (with_few_units(three_factor(13), (1, -1, 1), 2), full_design(3, 2)),
+    # an observed cell of an explicit design with no units at all
+    "unitless-cell": lambda: (without_cells(three_factor(14, 400), [(1, 1, 1), (1, -1, 1)]),
+                              build_incomplete_design(3, 2, [(1, 1, 1)])),
 }
 
 
@@ -210,7 +222,7 @@ def test_greedy_keep_finds_rows_after_long_dependent_runs():
         rows.append(fresh)
     rows = np.array(rows)
     for scaled in (rows, rows * 10.0 ** rng.uniform(-6, 6, (len(rows), 1))):
-        assert _greedy_keep(scaled, 1e-10) == expected
+        assert _greedy_keep(scaled) == expected
         assert numeric_keep(scaled, scaled[:, :0]) == expected
 
 
@@ -225,7 +237,7 @@ def test_greedy_keep_matches_oracle_on_low_rank_rows(seed, n, dim, rank):
     rng = np.random.default_rng(seed)
     rows = rng.normal(size=(n, min(rank, dim))) @ rng.normal(size=(min(rank, dim), dim))
     rows *= 10.0 ** rng.uniform(-6, 6, (n, 1))
-    assert _greedy_keep(rows, 1e-10) == numeric_keep(rows, rows[:, :0])
+    assert _greedy_keep(rows) == numeric_keep(rows, rows[:, :0])
 
 
 # (k', covariate bases) per K: every order with one and three bases, plus
@@ -244,31 +256,10 @@ def test_structural_filter_keeps_oracle_rows(k, flavor):
     rng = np.random.default_rng(k)
     for k_prime, s_count in STRUCTURAL_SHAPES[k]:
         ds = Dataset(combos, rng.normal(size=(2**k, s_count)), np.zeros(2**k))
-        full = build_balance_system(ds, BasisSpec(model_flavor=flavor), full_design(k, k_prime))
-        assert list(_structural_keep(full.rows)) == structural_keep(full.rows)
-
-
-def test_structural_filter_on_hand_built_keys():
-    # a row (K, s, J) joins the terms (s, J) and (s, K sym-diff J); a
-    # summary row ((), s, J) is the term (s, J) alone
-    keys = (
-        ((1,), 0, (), 1),  # 0: () - (1)
-        ((2,), 0, (1,), 1),  # 1: (1) - (1,2)
-        ((1,), 0, (2,), 1),  # 2: (2) - (1,2)
-        ((2,), 0, (), 1),  # 3: () - (2) closes an even cycle: dropped
-        ((1,), 1, (), 1),  # 4: () - (1)
-        ((2,), 1, (1,), 1),  # 5: (1) - (1,2)
-        ((1, 2), 1, (), 1),  # 6: () - (1,2) closes an odd cycle: kept
-        ((), 1, (1,), 1),  # 7: summary on the spanned component: dropped
-        ((), 0, (), 1),  # 8: summary on the even-cycle component: kept
-        ((), 2, (), 1),  # 9: summary: kept, spans {()}
-        ((), 2, (1,), 1),  # 10: summary: kept, spans {(1)}
-        ((1,), 2, (), 1),  # 11: () - (1) joins two spanned components: dropped
-        ((2,), 2, (), 1),  # 12: () - (2) joins spanned and new: kept
-    )
-    expected = [0, 1, 2, 4, 5, 6, 8, 9, 10, 12]
-    assert list(_structural_keep(keys)) == expected
-    assert structural_keep(keys) == expected
+        spec, design = BasisSpec(model_flavor=flavor), full_design(k, k_prime)
+        full = build_balance_system(ds, spec, design)
+        kept = build_balance_system(ds, spec, design, drop_redundant=True)
+        assert kept.rows == tuple(full.rows[i] for i in structural_keep(full.rows))
 
 
 @pytest.mark.parametrize("name", ["complete", "additive", "incomplete", "five-factor"])
