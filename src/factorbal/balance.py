@@ -27,15 +27,6 @@ from .errors import ConfigurationError, DataError
 BasisFunction = Callable[[np.ndarray], np.ndarray]
 
 
-def identity_bases(d: int) -> list[BasisFunction]:
-    """One basis function per covariate coordinate."""
-
-    def coord(j):
-        return lambda x: np.asarray(x)[:, j].astype(float)
-
-    return [coord(j) for j in range(d)]
-
-
 @dataclass(frozen=True)
 class BasisSpec:
     """Covariate basis functions and the outcome-model flavor they balance.
@@ -55,22 +46,22 @@ class BasisSpec:
             )
 
     def evaluate(self, X: np.ndarray) -> np.ndarray:
-        """Evaluate the bases on all rows, returning (N x S) values."""
-        bases = self.covariate_bases
-        if bases is None:
-            bases = identity_bases(X.shape[1])
-        cols = []
-        for s, h in enumerate(bases):
-            v = np.asarray(h(X), dtype=float).ravel()
-            if v.shape[0] != X.shape[0]:
-                raise ConfigurationError(f"basis {s} returned wrong length")
-            if not np.all(np.isfinite(v)):
-                bad = int(np.argwhere(~np.isfinite(v))[0][0])
-                raise DataError(f"basis {s} is non-finite at row {bad}")
-            cols.append(v)
-        if not cols:
+        """Evaluate the bases on all rows (N x S); by default X's columns."""
+        if self.covariate_bases is None:
+            values = np.array(X, dtype=float, order="C")
+        else:
+            cols = [np.asarray(h(X), dtype=float).ravel() for h in self.covariate_bases]
+            for s, v in enumerate(cols):
+                if v.shape[0] != X.shape[0]:
+                    raise ConfigurationError(f"basis {s} returned wrong length")
+            values = np.column_stack(cols) if cols else np.empty((X.shape[0], 0))
+        if values.shape[1] == 0:
             raise ConfigurationError("at least one basis function is required")
-        return np.column_stack(cols)
+        bad = ~np.isfinite(values)
+        if bad.any():
+            s, row = np.argwhere(bad.T)[0]
+            raise DataError(f"basis {s} is non-finite at row {row}")
+        return values
 
 
 def split_contrast(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -89,11 +80,12 @@ class BalanceSystem:
     does its target contribution, ``coef[r] * H[i, s_r]``; here
     ``H = basis_values`` (N x S), ``G`` is P x observed cells and
     ``unit_cells`` holds each unit's observed-cell index. Products with B
-    and the active curvature come from per-cell sums of H, so no P x N
-    array is formed; ``B``, ``unit_targets`` and ``element_values`` build
-    the dense arrays on demand, for inspection and tests. ``rows`` holds
-    each row's key ``(effect members, basis column, interaction, sign)``,
-    with sign -1 for a negative-part row (incomplete designs only).
+    and the active curvature come from per-cell sums of H, rows grouped
+    by basis column, so no P x N or P x (cells * S) array is formed;
+    ``B``, ``unit_targets`` and ``element_values`` build the dense arrays
+    on demand, for inspection and tests. ``rows`` holds each row's key
+    ``(effect members, basis column, interaction, sign)``, with sign -1
+    for a negative-part row (incomplete designs only).
     """
 
     G: np.ndarray
@@ -134,13 +126,9 @@ class BalanceSystem:
         return self._lift.T
 
     @cached_property
-    def _spread(self) -> np.ndarray:
-        """P x (cells * S) matrix with ``G[r, c]`` at column ``(c, s_r)``,
-        so that ``B = _spread @ _lift.T``."""
-        p, cells = self.G.shape
-        out = np.zeros((p, cells, self.basis_values.shape[1]))
-        out[np.arange(p)[:, None], np.arange(cells), self.basis_ids[:, None]] = self.G
-        return out.reshape(p, -1)
+    def _by_basis(self) -> list[np.ndarray]:
+        """For each basis column s, the indices of the rows on it."""
+        return [np.flatnonzero(self.basis_ids == s) for s in range(self.basis_values.shape[1])]
 
     def _cell_sums(self, v: np.ndarray) -> np.ndarray:
         """Per-cell sums of ``v[i] * H[i, s]``: cells x S for a length-N
@@ -155,22 +143,24 @@ class BalanceSystem:
 
     def matvec(self, w: np.ndarray) -> np.ndarray:
         """``B @ w``."""
-        return self._spread @ (self._lift_t @ w)
+        return self.cell_parts(w).sum(axis=1)
 
     def rmatvec(self, lam: np.ndarray) -> np.ndarray:
         """``B.T @ lam``; a P x E ``lam`` gives the N x E products."""
-        return self._lift @ (self._spread.T @ lam)
+        # per-cell sums of G times the multipliers, cells x S (x E), by basis column
+        sums = np.stack([self.G[rows].T @ lam[rows] for rows in self._by_basis], axis=1)
+        return self._lift @ sums.reshape(self._lift.shape[1], *lam.shape[1:])
 
     def active_gram(self, mask: np.ndarray) -> np.ndarray:
-        """``B[:, mask] @ B[:, mask].T`` (P x P).
-
-        Each cell's Gram matrix of H over its masked units is placed at
-        the rows' basis columns and scaled by G; one matmul sums the cells.
+        """``B[:, mask] @ B[:, mask].T`` (P x P): entry (r, t) sums
+        ``G[r, c] G[t, c] gram_c[s_r, s_t]`` over cells c, with ``gram_c``
+        H's Gram matrix over c's masked units; one matmul per basis column.
         """
-        masked = self.basis_values * mask[:, None]
-        gram = self._cell_sums(masked)  # cells x S x S
-        weighted = self.G[:, :, None] * gram[:, self.basis_ids, :].transpose(1, 0, 2)
-        return weighted.reshape(self.p, -1) @ self._spread.T
+        gram = self._cell_sums(self.basis_values * mask[:, None])  # cells x S x S
+        out = np.empty((self.p, self.p))
+        for s, rows in enumerate(self._by_basis):
+            out[rows] = self.G[rows] @ (gram[:, s, self.basis_ids] * self.G.T)
+        return out
 
     def element_columns(self) -> np.ndarray:
         """The balanced functions at each unit's own assignment (N x elements)."""
@@ -193,6 +183,11 @@ class BalanceSystem:
     def element_values(self) -> np.ndarray:
         """Dense elements x N values of the balanced functions."""
         return self.element_columns().T
+
+
+# bytes the row gather in ``build_balance_system`` may allocate; a K=14
+# complete design of order 2, two covariates, drop_redundant=True needs 1.6 GiB
+_GATHER_BUDGET = 4 * 2**30
 
 
 def build_balance_system(
@@ -230,13 +225,9 @@ def build_balance_system(
     H = np.column_stack([H, np.ones(n)])
     const = s_count
     if basis.model_flavor == "heterogeneous":
-        elements = [
-            (s, J) for s in range(s_count + 1) for J in interactions
-        ]
+        elements = [(s, J) for s in range(s_count + 1) for J in interactions]
     else:
-        elements = [(s, ()) for s in range(s_count)] + [
-            (const, J) for J in interactions
-        ]
+        elements = [(s, ()) for s in range(s_count)] + [(const, J) for J in interactions]
 
     # on a complete design redundancy is a fact about the keys alone
     structural = bool(design.complete and drop_redundant and drop_redundant != "numeric")
@@ -246,8 +237,16 @@ def build_balance_system(
 
     # row (K, s, J, sign) weighs basis column s by the K side's part of
     # the contrast times the J interaction, both constant within a cell:
-    # one gather from the split contrasts and the interaction values
+    # one gather from the split contrasts and the interaction values,
+    # priced first (G and the two arrays it is the product of)
     cells = design.observed
+    gather_bytes = 3 * 8 * len(keys) * len(cells)
+    if gather_bytes > _GATHER_BUDGET:
+        raise ConfigurationError(
+            f"{len(keys)} balance rows over {len(cells)} cells need about "
+            f"{gather_bytes / 2**30:.1f} GiB, above the {_GATHER_BUDGET / 2**30:.0f} GiB "
+            "budget; lower the interaction order or the number of basis functions"
+        )
     effect_pos = {e.members: i for i, e in enumerate(design.effects)}
     interaction_pos = {J: i for i, J in enumerate(dict.fromkeys(key[2] for key in keys))}
     side, effect_ids, basis_ids, interaction_ids = np.array(

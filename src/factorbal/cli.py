@@ -43,6 +43,13 @@ EXIT_IDENTIFICATION = 3
 EXIT_INFEASIBLE = 4
 EXIT_NONCONVERGENCE = 5
 
+# the keys a --config file may set
+CONFIG_KEYS = (
+    "data_path", "factor_columns", "covariate_columns", "outcome_column",
+    "unobserved_combinations", "max_iters", "factor_coding", "max_order",
+    "model_flavor", "out_prefix", "out_format",
+)
+
 
 @dataclass
 class RunConfig:
@@ -325,6 +332,9 @@ def _build_config(args) -> RunConfig:
             raise DataError(f"cannot read config {args.config}: {exc}") from exc
         if not isinstance(file_cfg, dict):
             raise ConfigurationError(f"config {args.config} must be a JSON object")
+        for key in file_cfg:
+            if key not in CONFIG_KEYS:
+                raise ConfigurationError(f"unknown key {key!r} in config {args.config}")
 
     def pick(flag_value, key, default=None):
         if flag_value is not None:
@@ -339,8 +349,8 @@ def _build_config(args) -> RunConfig:
             pass
         raise ConfigurationError(f"{key} must be an integer, got {value!r}")
 
-    def text(key, value):
-        if value is not None and not isinstance(value, str):
+    def text(key, value, required=False):
+        if not isinstance(value, str) and (required or value is not None):
             raise ConfigurationError(f"{key} must be a string, got {value!r}")
         return value
 
@@ -387,7 +397,7 @@ def _build_config(args) -> RunConfig:
         max_order=whole("max_order", pick(args.max_order, "max_order", 2)),
         model_flavor=pick(args.flavor, "model_flavor", "heterogeneous"),
         unobserved=unobserved,
-        out_prefix=pick(args.out, "out_prefix", "factorbal"),
+        out_prefix=text("out_prefix", pick(args.out, "out_prefix", "factorbal"), required=True),
         out_format=pick(args.format, "out_format", "csv"),
         solver=solver,
     )

@@ -63,7 +63,9 @@ def weighted_estimates(
     n = system.n
     w = np.asarray(weights, dtype=float).ravel()
     lam = np.asarray(lam, dtype=float).ravel()
-    C = system.design.contrasts(dataset.Z, effects)  # E x N
+    design = system.design
+    cell_contrasts = design.contrasts(design.observed, effects)  # E x cells
+    C = np.take(cell_contrasts, system.unit_cells, axis=1)  # E x N
     S = C * (w * dataset.Y)
     tau = S.sum(axis=1) / n
 
@@ -85,8 +87,6 @@ def weighted_estimates(
         )
     # l_e = A^{-1} r_e with r_e = (1/2N) sum over active units of B_i c_e Y_i;
     # c_e is constant within a cell, so r_e contracts B's per-cell parts
-    design = system.design
-    cell_contrasts = design.contrasts(design.observed, effects)  # E x cells
     R = 0.5 / n * (system.cell_parts(dataset.Y * active) @ cell_contrasts.T)  # P x E
     L = evecs @ ((evecs.T @ R) / evals[:, None])
 
@@ -134,7 +134,7 @@ def augmented_estimate(
     large for that guarantee a warning is issued.
     """
     design = system.design
-    c = design.contrasts(dataset.Z, [effect])[0]
+    g_row = design.contrasts(design.observed, [effect])[0]  # per observed cell
     w = np.asarray(weights, dtype=float).ravel()
     alpha = np.asarray(ols_coeffs_on_q, dtype=float).ravel()
     if alpha.shape[0] != len(system.elements):
@@ -158,7 +158,6 @@ def augmented_estimate(
 
     # randomized-design contrast of the fitted model:
     # (1/2^(k-1) N) sum_z g_z sum_i alpha' q(X_i, z), summed over observed z
-    g_row = design.contrasts(design.observed, [effect])[0]
     basis_sums = system.basis_values.sum(axis=0)
     model_term = 0.0
     for (s, J), a in zip(system.elements, alpha):
@@ -166,7 +165,7 @@ def augmented_estimate(
         model_term += a * basis_sums[s] * float(g_row @ r_vals)
     model_term /= 2 ** (k - 1) * n
 
-    tau_w_resid = float(np.mean(w * c * resid))
+    tau_w_resid = float(np.mean(w * g_row[system.unit_cells] * resid))
     return tau_w_resid + model_term
 
 

@@ -1,3 +1,7 @@
+import resource
+import tracemalloc
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -42,6 +46,21 @@ def random_dataset(seed, n=60, k=3, d=4, cells=None):
     X = rng.normal(size=(n, d))
     Y = rng.normal(size=n)
     return Dataset(Z, X, Y)
+
+
+@contextmanager
+def address_space_cap(extra):
+    """Cap this process's address space at its current size plus ``extra``
+    bytes, so that a larger allocation fails instead of filling memory."""
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    with open("/proc/self/statm") as fh:
+        size = int(fh.read().split()[0]) * resource.getpagesize()
+    cap = size + extra if hard == resource.RLIM_INFINITY else min(size + extra, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
 
 
 class TestSplitContrast:
@@ -197,6 +216,31 @@ class TestBuildSystem:
             build_balance_system(
                 ds, BasisSpec(covariate_bases=[bad]), full_design(3, 1)
             )
+
+    def test_default_basis_is_the_covariates(self):
+        X = np.arange(12).reshape(3, 4)[:, ::2]  # integer, not contiguous
+        H = BasisSpec().evaluate(X)
+        assert H.flags.c_contiguous and np.array_equal(H, X.astype(float))
+        X = np.ones((5, 3))
+        X[3, 1] = np.nan
+        with pytest.raises(DataError, match="basis 1 is non-finite at row 3"):
+            BasisSpec().evaluate(X)
+        with pytest.raises(ConfigurationError, match="at least one basis"):
+            BasisSpec().evaluate(np.ones((5, 0)))
+
+    @pytest.mark.parametrize("k, drop", [(14, False), (16, True)])
+    def test_oversized_gather_rejected_before_allocating(self, k, drop):
+        # K=14 with every candidate row: 32844 rows x 16384 cells, 4 GiB
+        # for G alone; K=16 after the structural filter: 7551 x 65536
+        ds, design = random_dataset(3, n=300, k=k, d=2), full_design(k, 2)
+        tracemalloc.start()
+        try:
+            with address_space_cap(2**30), pytest.raises(ConfigurationError, match="GiB budget"):
+                build_balance_system(ds, BasisSpec(), design, drop_redundant=drop)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**26  # the gather would take over 10 GiB
 
     def test_flavor_validation(self):
         with pytest.raises(ConfigurationError):

@@ -296,6 +296,10 @@ class TestEstimate:
             ({"factor_columns": [["t1"], "t2", "t3", "t4"]}, "factor_columns"),
             ({"covariate_columns": ["x1", 2]}, "covariate_columns"),
             ({"factor_columns": 4}, "factor_columns"),
+            ({"out_prefix": None}, "out_prefix"),
+            ({"out_prefix": ["a"]}, "out_prefix"),
+            ({"out_prefix": 7}, "out_prefix"),
+            ({"max_ordr": 5}, "max_ordr"),
         ],
         ids=[
             "list-config",
@@ -308,9 +312,14 @@ class TestEstimate:
             "nested-factor-column",
             "numeric-covariate-column",
             "numeric-factor-columns",
+            "null-out-prefix",
+            "list-out-prefix",
+            "numeric-out-prefix",
+            "unknown-key",
         ],
     )
-    def test_bad_config_value_is_usage_error(self, tmp_path, capsys, entries, named):
+    def test_bad_config_value_is_usage_error(self, tmp_path, monkeypatch, capsys, entries, named):
+        monkeypatch.chdir(tmp_path)  # a prefix that is not a string must not write here either
         data = tmp_path / "data.csv"
         make_survey_like(data, n=400, seed=8)
         config = [1, 2] if entries is None else {
@@ -326,7 +335,7 @@ class TestEstimate:
         assert main(["estimate", "--config", str(cfg)]) == EXIT_DATA
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err
-        assert not (tmp_path / "cfg_effects.csv").exists()
+        assert not list(tmp_path.glob("*_effects.csv"))
 
     def test_descriptor_data_path_is_usage_error(self, tmp_path, capsys):
         # an integer data path must not be opened as a file descriptor

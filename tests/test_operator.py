@@ -53,11 +53,31 @@ def five_factor(seed=0, n=2000):
     return generate(Scenario("five_factor", n, "Y2", seed=seed), 0)[0]
 
 
+def seven_factor(seed, n=1500):
+    """A complete seven-factor draw whose assignment leans on the covariates."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, 3))
+    Z = np.where(rng.normal(size=(n, 7)) + 0.3 * X[:, np.arange(7) % 3] > 0, 1, -1)
+    return Dataset(Z, X, X.sum(axis=1) + rng.normal(size=n))
+
+
 def case(name):
     """(dataset, system) for one named design."""
     if name == "complete":
         ds = three_factor(0, 600)
         return ds, build_balance_system(ds, BasisSpec(), full_design(3, 2), drop_redundant=True)
+    if name == "seven-factor":
+        ds = seven_factor(0)
+        assert len(np.unique(ds.Z, axis=0)) == 2**7
+        return ds, build_balance_system(ds, BasisSpec(), full_design(7, 2), drop_redundant=True)
+    if name == "collinear":
+        # X3 = X1 - X2, so no row on basis column 2 is kept
+        ds = with_covariates(
+            three_factor(15), lambda X: np.column_stack([X[:, 0], X[:, 1], X[:, 0] - X[:, 1]])
+        )
+        system = build_balance_system(ds, BasisSpec(), full_design(3, 2), drop_redundant="numeric")
+        assert 2 not in system.basis_ids
+        return ds, system
     if name == "additive":
         ds = three_factor(1)
         spec = BasisSpec(model_flavor="additive")
@@ -73,7 +93,7 @@ def case(name):
     return ds, build_balance_system(ds, BasisSpec(), design, drop_redundant=True)
 
 
-CASES = ["complete", "additive", "redundant", "incomplete", "empty-cell"]
+CASES = ["complete", "additive", "redundant", "incomplete", "empty-cell", "seven-factor", "collinear"]
 
 
 def assert_close(got, want, rtol=RTOL):
