@@ -185,8 +185,9 @@ class BalanceSystem:
         return self.element_columns().T
 
 
-# bytes the row gather in ``build_balance_system`` may allocate; a K=14
-# complete design of order 2, two covariates, drop_redundant=True needs 1.6 GiB
+# bytes the row gather in ``build_balance_system`` and the numeric filter
+# may allocate; a K=14 complete design of order 2, two covariates,
+# drop_redundant=True needs 1.6 GiB
 _GATHER_BUDGET = 4 * 2**30
 
 
@@ -204,6 +205,16 @@ def build_balance_system(
     by the variance estimator invertible. On complete designs that is
     decided from the row keys alone; ``"numeric"`` also removes the rows
     that are redundant only on this dataset, e.g. under collinear covariates.
+
+    Redundancy is decided in two stages. The design stage drops rows that
+    are dependent whatever the data: on a complete design by the keys, on
+    an incomplete one by a greedy pass over each basis column's ``G``
+    rows (a row's coefficients and target are linear in its ``G`` row, so
+    a ``G`` row in the span of earlier ones on the same column makes the
+    row dependent). The data stage (``"numeric"``, and ``True`` on an
+    incomplete design) screens only the survivors. A dropped row lies in
+    the span of the earlier rows, so the greedy over the survivors keeps
+    the rows a greedy over every row would keep.
     """
     if drop_redundant not in (False, True, "numeric"):
         raise ConfigurationError(
@@ -230,23 +241,17 @@ def build_balance_system(
         elements = [(s, ()) for s in range(s_count)] + [(const, J) for J in interactions]
 
     # on a complete design redundancy is a fact about the keys alone
-    structural = bool(design.complete and drop_redundant and drop_redundant != "numeric")
     keys = _row_keys(
-        tuple(e.members for e in effects), tuple(elements), design.complete, structural
+        tuple(e.members for e in effects),
+        tuple(elements),
+        design.complete,
+        bool(design.complete and drop_redundant),
     )
+    numeric = bool(drop_redundant) and (drop_redundant == "numeric" or not design.complete)
 
     # row (K, s, J, sign) weighs basis column s by the K side's part of
     # the contrast times the J interaction, both constant within a cell:
-    # one gather from the split contrasts and the interaction values,
-    # priced first (G and the two arrays it is the product of)
-    cells = design.observed
-    gather_bytes = 3 * 8 * len(keys) * len(cells)
-    if gather_bytes > _GATHER_BUDGET:
-        raise ConfigurationError(
-            f"{len(keys)} balance rows over {len(cells)} cells need about "
-            f"{gather_bytes / 2**30:.1f} GiB, above the {_GATHER_BUDGET / 2**30:.0f} GiB "
-            "budget; lower the interaction order or the number of basis functions"
-        )
+    # one gather from the split contrasts and the interaction values
     effect_pos = {e.members: i for i, e in enumerate(design.effects)}
     interaction_pos = {J: i for i, J in enumerate(dict.fromkeys(key[2] for key in keys))}
     side, effect_ids, basis_ids, interaction_ids = np.array(
@@ -256,15 +261,33 @@ def build_balance_system(
         ],
         dtype=np.intp,
     ).T
+    # priced first: G and the two arrays it is the product of, and the
+    # numeric filter's compressed rows (about three arrays of them) for
+    # the at most one row per observed cell on each basis column that
+    # the design stage keeps
+    cells = design.observed
+    need = 3 * 8 * len(keys) * len(cells)
+    if numeric:
+        screened = np.minimum(np.bincount(basis_ids), len(cells)).sum()
+        need += 3 * 8 * int(screened) * (len(cells) + 1) * H.shape[1]
+    if need > _GATHER_BUDGET:
+        raise ConfigurationError(
+            f"{len(keys)} balance rows over {len(cells)} cells need about "
+            f"{need / 2**30:.1f} GiB{' with the numeric filter' if numeric else ''}, "
+            f"above the {_GATHER_BUDGET / 2**30:.0f} GiB budget; lower the interaction "
+            "order or the number of basis functions"
+        )
     parts = np.stack(split_contrast(design.contrasts(cells, design.effects)))
     r_cells = np.array([interaction_value(cells, J) for J in interaction_pos])
     G = parts[side, effect_ids] * r_cells[interaction_ids]
     # a contrast side with no observed cell (incomplete designs only) gives
     # an all-zero row: the interaction values are +-1
     keep = np.flatnonzero(G.any(axis=1))
+    if drop_redundant and not design.complete:
+        keep = keep[_design_keep(G[keep], basis_ids[keep])]
     G, basis_ids = G[keep], basis_ids[keep]
     coef = G.sum(axis=1) / 2 ** (design.k - 1)
-    if drop_redundant and not structural:
+    if numeric:
         chosen = _numeric_keep(G, basis_ids, coef, unit_cells, H)
         keep, G, basis_ids, coef = keep[chosen], G[chosen], basis_ids[chosen], coef[chosen]
     return BalanceSystem(
@@ -329,6 +352,28 @@ def _row_keys(
     return tuple(kept)
 
 
+def _design_keep(G: np.ndarray, basis_ids: np.ndarray) -> np.ndarray:
+    """Indices of the rows whose ``G`` row is independent of the ``G`` rows
+    before it on the same basis column, by ``_greedy_keep``.
+
+    Row r's coefficients ``G[r, c_i] H[i, s_r]`` and target
+    ``sum(G[r]) / 2^(K-1) * H[i, s_r]`` are linear in ``G[r]``, so any
+    other row is that combination of earlier rows whatever H is. Columns
+    that carry the same ``G`` rows (every column, under the heterogeneous
+    flavor) share one greedy pass.
+    """
+    decided: dict[bytes, list[int]] = {}
+    kept = []
+    for s in np.unique(basis_ids):
+        rows = np.flatnonzero(basis_ids == s)
+        block = G[rows]
+        signature = block.tobytes()
+        if signature not in decided:
+            decided[signature] = _greedy_keep(block)
+        kept.append(rows[decided[signature]])
+    return np.sort(np.concatenate(kept))
+
+
 def _numeric_keep(
     G: np.ndarray,
     basis_ids: np.ndarray,
@@ -343,10 +388,10 @@ def _numeric_keep(
     Works on compressed rows with the same Gram matrix as ``[B | T]``:
     with ``R_c`` the R factor of H over cell c's units and ``R_H`` that of
     all of H, row r becomes ``[G[r, c] R_c[:, s_r]]_c ++ [coef_r R_H[:, s_r]]``,
-    (cells + 1) * S long whatever N is, then kept by ``_greedy_keep``,
-    which screens them a block at a time against the kept span. Each
-    factor is taken with S zero rows appended, which leave the Gram
+    (cells + 1) * S long whatever N is, then kept by ``_greedy_keep``.
+    Each factor is taken with S zero rows appended, which leave the Gram
     matrix as it is, so it is S x S even for a cell with fewer units.
+    ``build_balance_system`` passes only the rows its design stage kept.
     """
     order = np.argsort(unit_cells, kind="stable")
     bounds = np.cumsum(np.bincount(unit_cells, minlength=G.shape[1]))
@@ -358,8 +403,9 @@ def _numeric_keep(
 
 
 # relative residual below which a row counts as dependent, rows screened
-# per matmul in ``_greedy_keep``, and the fraction of the tolerance below
-# which a screened residual drops a row unexamined
+# per block in ``_greedy_keep``, and the factor by which a residual must
+# clear the tolerance (or fall below it) to be decided without the
+# row-by-row test
 _KEEP_TOL = 1e-10
 _SCREEN_BLOCK = 128
 _SCREEN_MARGIN = 0.01
@@ -367,47 +413,59 @@ _SCREEN_MARGIN = 0.01
 
 def _greedy_keep(rows: np.ndarray) -> list[int]:
     """Indices of the rows, taken in order, whose component orthogonal to
-    the kept ones (two classical Gram-Schmidt passes against the kept
-    rows as a matrix) exceeds ``_KEEP_TOL`` times their norm; zero rows
-    are skipped.
+    the kept ones (two classical Gram-Schmidt passes against an
+    orthonormal basis of the kept rows, as a matrix) exceeds ``_KEEP_TOL``
+    times their norm; zero rows are skipped.
 
-    Rows are screened ``_SCREEN_BLOCK`` at a time by one product with an
-    orthonormal basis of the kept span's orthogonal complement, recomputed
-    only when the kept set has grown since the last block. That gives
-    each row's residual against the rows kept before its block. The kept
-    span only grows, so a row whose residual is below
-    ``_SCREEN_MARGIN * _KEEP_TOL`` times its norm would fail the test
-    anyway (the margin covers the two computations' rounding) and is
-    dropped; the others take the Gram-Schmidt test in order, so the kept
-    indices are those of the row-by-row loop.
+    The rows go ``_SCREEN_BLOCK`` at a time, and a block's pending rows
+    are projected off the kept span as it grows. The span only grows, so
+    a row whose residual is below ``_SCREEN_MARGIN * _KEEP_TOL`` times its
+    norm would fail the test anyway (the margin covers the computations'
+    rounding) and is dropped. The diagonal of one QR factorization of the
+    remaining residuals gives each row's residual against the kept rows
+    and the pending rows before it. While every earlier pending row is
+    kept that is the row-by-row test, so the leading rows whose residual
+    exceeds ``_KEEP_TOL / _SCREEN_MARGIN`` times their norm are kept at
+    once and Q's columns extend the basis. If the first pending row does
+    not clear that bar, every row before it is decided, so it takes the
+    test itself. The kept indices are those of the row-by-row loop.
     """
     n_rows, dim = rows.shape
     basis = np.empty((min(n_rows, dim), dim))
     keep: list[int] = []
-    complement, screened_rank = np.eye(dim), 0
+    scale = np.linalg.norm(rows, axis=1)
     for start in range(0, n_rows, _SCREEN_BLOCK):
-        if len(keep) > screened_rank:
-            screened_rank = len(keep)
-            full = np.linalg.qr(basis[:screened_rank].T, mode="complete")[0]
-            complement = full[:, screened_rank:]
-        block = rows[start : start + _SCREEN_BLOCK]
-        residual = np.linalg.norm(block @ complement, axis=1)
-        floor = _SCREEN_MARGIN * _KEEP_TOL * np.linalg.norm(block, axis=1)
-        for i in np.flatnonzero(residual > floor):
-            v = block[i]
-            scale = np.linalg.norm(v)
-            if scale == 0:
-                continue
-            q = basis[: len(keep)]
-            for _ in range(2):
-                v = v - (q @ v) @ q
-            nrm = np.linalg.norm(v)
-            if nrm > _KEEP_TOL * scale:
-                basis[len(keep)] = v / nrm
-                keep.append(start + int(i))
-                if len(keep) == basis.shape[0]:
-                    return keep
+        pending = np.arange(start, min(start + _SCREEN_BLOCK, n_rows))
+        resid = _project_off(rows[pending], basis[: len(keep)])
+        while pending.size:
+            norm = np.linalg.norm(resid, axis=1)
+            live = norm > _SCREEN_MARGIN * _KEEP_TOL * scale[pending]
+            pending, resid, norm = pending[live], resid[live], norm[live]
+            if not pending.size:
+                break
+            q, r = np.linalg.qr(resid.T)
+            clear = np.abs(np.diagonal(r)) > _KEEP_TOL / _SCREEN_MARGIN * scale[pending[: len(r)]]
+            run = len(clear) if clear.all() else int(np.argmin(clear))
+            if run:
+                new, taken = q[:, :run].T, run
+            elif norm[0] > _KEEP_TOL * scale[pending[0]]:
+                new, taken = resid[:1] / norm[0], 1
+            else:
+                new, taken = resid[:0], 1
+            basis[len(keep) : len(keep) + len(new)] = new
+            keep.extend(pending[: len(new)].tolist())
+            if len(keep) == len(basis):
+                return keep
+            pending, resid = pending[taken:], _project_off(resid[taken:], new)
     return keep
+
+
+def _project_off(v: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``v``'s rows minus their projections on ``q``'s orthonormal rows,
+    taken twice."""
+    for _ in range(2):
+        v = v - (v @ q.T) @ q
+    return v
 
 
 @dataclass(frozen=True)

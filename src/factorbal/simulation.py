@@ -133,15 +133,22 @@ def expected_cell_means(scenario: Scenario) -> np.ndarray:
     return m
 
 
+# true effects by (scenario name, outcome), the only fields they depend on
+_TRUTH: dict[tuple[str, str], dict[Effect, float]] = {}
+
+
 def true_effects(scenario: Scenario) -> dict[Effect, float]:
-    """True factorial effects of order up to the scenario's retained order."""
-    k = scenario.k
-    means = expected_cell_means(scenario)
-    out = {}
-    for e in effect_index_set(k, scenario.k_prime):
-        g = contrast_vector(e, k).astype(float)
-        out[e] = float(g @ means) / 2 ** (k - 1)
-    return out
+    """True factorial effects of order up to the scenario's retained order,
+    as a fresh dict (computed once per scenario name and outcome)."""
+    key = (scenario.name, scenario.outcome)
+    if key not in _TRUTH:
+        k = scenario.k
+        means = expected_cell_means(scenario)
+        _TRUTH[key] = {
+            e: float(contrast_vector(e, k).astype(float) @ means) / 2 ** (k - 1)
+            for e in effect_index_set(k, scenario.k_prime)
+        }
+    return dict(_TRUTH[key])
 
 
 def generate(scenario: Scenario, rep_index: int) -> tuple[Dataset, dict[Effect, float]]:

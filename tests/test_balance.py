@@ -228,10 +228,12 @@ class TestBuildSystem:
         with pytest.raises(ConfigurationError, match="at least one basis"):
             BasisSpec().evaluate(np.ones((5, 0)))
 
-    @pytest.mark.parametrize("k, drop", [(14, False), (16, True)])
+    @pytest.mark.parametrize("k, drop", [(14, False), (16, True), (14, "numeric")])
     def test_oversized_gather_rejected_before_allocating(self, k, drop):
         # K=14 with every candidate row: 32844 rows x 16384 cells, 4 GiB
-        # for G alone; K=16 after the structural filter: 7551 x 65536
+        # for G alone; K=16 after the structural filter: 7551 x 65536;
+        # K=14 "numeric": G passes (1.6 GiB), but the numeric filter would
+        # compress its 4413 rows to length 49155, about 5 GiB
         ds, design = random_dataset(3, n=300, k=k, d=2), full_design(k, 2)
         tracemalloc.start()
         try:
@@ -240,7 +242,26 @@ class TestBuildSystem:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2**26  # the gather would take over 10 GiB
+        assert peak < 2**26  # the build would take over 6 GiB
+
+    def test_numeric_filter_on_nine_factors(self):
+        # the design stage leaves the 768 rows of the structural filter
+        # (of 5994), so the data stage compresses only those; filtering
+        # every row took about 10 s and a 189 MB traced peak
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(2000, 2))
+        Z = np.where(rng.normal(size=(2000, 9)) + 0.3 * X[:, np.arange(9) % 2] > 0, 1, -1)
+        ds, design = Dataset(Z, X, np.zeros(2000)), full_design(9, 2)
+        structural = build_balance_system(ds, BasisSpec(), design, drop_redundant=True)
+        tracemalloc.start()
+        try:
+            numeric = build_balance_system(ds, BasisSpec(), design, drop_redundant="numeric")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert numeric.rows == structural.rows and numeric.p == 768
+        assert np.array_equal(numeric.G, structural.G)
+        assert peak < 2**26
 
     def test_flavor_validation(self):
         with pytest.raises(ConfigurationError):

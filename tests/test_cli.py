@@ -15,6 +15,7 @@ from factorbal.cli import (
 )
 from factorbal.design import enumerate_combinations
 from factorbal.solver import SolverOptions
+from test_balance import address_space_cap
 
 
 def write_csv(path, header, rows):
@@ -222,6 +223,26 @@ class TestEstimate:
         assert capsys.readouterr().err == (
             f"error: {data} line 3: non-finite value {cell!r} in column {column!r}\n"
         )
+
+    def test_oversized_numeric_filter_is_usage_error(self, tmp_path, capsys):
+        # 14 factors of order 2, two covariates: G (1.6 GiB) fits the
+        # budget, the numeric filter's compressed rows (about 5 GiB) do not
+        rng = np.random.default_rng(0)
+        n, k = 300, 14
+        header = [f"t{j}" for j in range(1, k + 1)] + ["x1", "x2", "y"]
+        data = tmp_path / "data.csv"
+        rows = np.column_stack([rng.choice([-1, 1], (n, k)), rng.normal(size=(n, 3))])
+        write_csv(data, header, rows.tolist())
+        args = [
+            "estimate", "--data", str(data), "--factors", ",".join(header[:k]),
+            "--covariates", "x1,x2", "--outcome", "y", "--max-order", "2",
+            "--out", str(tmp_path / "run"),
+        ]
+        with address_space_cap(2**30):
+            code = main(args)
+        assert code == EXIT_DATA
+        assert "GiB budget" in capsys.readouterr().err
+        assert not list(tmp_path.glob("run_*"))
 
     def test_config_file(self, tmp_path):
         data = tmp_path / "data.csv"

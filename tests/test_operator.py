@@ -14,8 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from factorbal.balance import (
+    _KEEP_TOL,
     _SCREEN_BLOCK,
     BasisSpec,
+    _design_keep,
     _greedy_keep,
     _numeric_keep,
     build_balance_system,
@@ -177,6 +179,15 @@ def k_prime_one_without(cells):
 
 FIVE_SPARSE = FIVE_REMOVED + [(-1, 1, -1, 1, -1)]
 
+
+def six_factor(seed, n=900):
+    """A complete six-factor draw with two covariates, every cell occupied."""
+    rng = np.random.default_rng(seed)
+    Z = np.tile(enumerate_combinations(6), (n // 64 + 1, 1))[:n]
+    X = rng.normal(size=(n, 2)) + 0.3 * Z[:, :2]
+    return Dataset(Z, X, rng.normal(size=n))
+
+
 # (dataset, design) pairs whose unfiltered systems hold redundant rows
 FILTER_DRAWS = {
     "incomplete": lambda: (without_cells(three_factor(3, 400), [(1, 1, 1)]),
@@ -206,25 +217,47 @@ FILTER_DRAWS = {
     # an observed cell of an explicit design with no units at all
     "unitless-cell": lambda: (without_cells(three_factor(14, 400), [(1, 1, 1), (1, -1, 1)]),
                               build_incomplete_design(3, 2, [(1, 1, 1)])),
+    # the additive flavor: covariate columns carry only uninteracted rows
+    # (31, of which the design stage keeps 23), the constant column every
+    # interaction (465, 30 kept), so each set of G rows takes its own pass
+    "additive-incomplete": lambda: (without_cells(five_factor(16, 800), FIVE_REMOVED, d=2),
+                                    build_incomplete_design(5, 2, FIVE_REMOVED)),
+    # X3 = X1 - X2 on an incomplete design: the data stage drops rows on
+    # column 2 that the design stage keeps
+    "collinear-incomplete": lambda: (
+        with_covariates(without_cells(three_factor(17, 400), [(1, 1, 1)]),
+                        lambda X: np.column_stack([X[:, 0], X[:, 1], X[:, 0] - X[:, 1]])),
+        build_incomplete_design(3, 2, [(1, 1, 1)])),
+    "six-factor-complete": lambda: (six_factor(18), full_design(6, 2)),
 }
+FILTER_SPECS = {"additive-incomplete": BasisSpec(model_flavor="additive")}
 
 
 @pytest.mark.parametrize("draw", list(FILTER_DRAWS))
 def test_compressed_filter_keeps_dense_rows(draw):
     ds, design = FILTER_DRAWS[draw]()
-    full = build_balance_system(ds, BasisSpec(), design)
+    spec = FILTER_SPECS.get(draw, BasisSpec())
+    full = build_balance_system(ds, spec, design)
     keep = numeric_keep(full.B, full.unit_targets)
     assert _numeric_keep(full.G, full.basis_ids, full.coef, full.unit_cells, full.basis_values) == keep
     assert 0 < len(keep) < full.p
-    slim = build_balance_system(ds, BasisSpec(), design, drop_redundant="numeric")
+    # the design stage drops no row the dense filter keeps
+    if design.complete:
+        survivors = build_balance_system(ds, spec, design, drop_redundant=True).rows
+    else:
+        survivors = [full.rows[i] for i in _design_keep(full.G, full.basis_ids)]
+    assert {full.rows[i] for i in keep} <= set(survivors)
+    if draw == "collinear-incomplete":
+        assert len(keep) < len(survivors)
+    slim = build_balance_system(ds, spec, design, drop_redundant="numeric")
     assert slim.rows == tuple(full.rows[i] for i in keep)
     assert np.array_equal(slim.G, full.G[keep]) and np.array_equal(slim.coef, full.coef[keep])
 
 
 def test_greedy_keep_finds_rows_after_long_dependent_runs():
     # each new row follows a run of combinations of the kept ones, some
-    # runs longer than a screening block, so the kept span's complement
-    # is recomputed across block boundaries; every other new row lies only
+    # runs longer than a screening block, so the kept span is carried
+    # across block boundaries; every other new row lies only
     # 5 * tol (relative) off the kept span, so a screen that dropped more
     # than Gram-Schmidt does would lose it; rows are then scaled from 1e-6
     # to 1e6
@@ -241,6 +274,51 @@ def test_greedy_keep_finds_rows_after_long_dependent_runs():
         expected.append(len(rows))
         rows.append(fresh)
     rows = np.array(rows)
+    for scaled in (rows, rows * 10.0 ** rng.uniform(-6, 6, (len(rows), 1))):
+        assert _greedy_keep(scaled) == expected
+        assert numeric_keep(scaled, scaled[:, :0]) == expected
+
+
+def near_span_rows(rng, dim, offsets):
+    """Rows for one screening block and the indices the row-by-row test
+    keeps: three independent rows, then for each relative offset a
+    combination of the kept rows plus that offset times its norm along a
+    fresh direction (none for offset 0), then a fresh unit row."""
+    rows = list(np.column_stack([rng.normal(size=(3, 3)), np.zeros((3, dim - 3))]))
+    kept, fresh = [0, 1, 2], 3
+    for offset in offsets:
+        v = rng.normal(size=len(kept)) @ np.array(rows)[kept]
+        if offset:
+            v[fresh] = offset * np.linalg.norm(v)
+            fresh += 1
+        if offset > _KEEP_TOL:
+            kept.append(len(rows))
+        rows.append(v)
+    kept.append(len(rows))
+    rows.append(np.eye(dim)[fresh])
+    return np.array(rows), kept
+
+
+@pytest.mark.parametrize(
+    "shape",
+    ["square-full-rank", "fewer-rows-than-dim", "single-row", "near-span", "near-span-wide"],
+)
+def test_greedy_keep_in_one_block_matches_oracle(shape):
+    # rows the QR diagonal keeps at once, and rows 5 * tol (kept) and
+    # 0.2 * tol (dropped) off the span of the rows before them, inside
+    # one screening block, so that the row-by-row test decides them
+    rng = np.random.default_rng(len(shape))
+    if shape == "square-full-rank":
+        rows, expected = rng.normal(size=(12, 12)), list(range(12))
+    elif shape == "fewer-rows-than-dim":
+        rows, expected = rng.normal(size=(7, 40)), list(range(7))
+    elif shape == "single-row":
+        rows, expected = rng.normal(size=(1, 5)), [0]
+    else:
+        dim = 12 if shape == "near-span" else 200
+        offsets = [5 * _KEEP_TOL, 0, 0.2 * _KEEP_TOL, 5 * _KEEP_TOL, 0.2 * _KEEP_TOL, 0]
+        rows, expected = near_span_rows(rng, dim, offsets)
+        assert expected == [0, 1, 2, 3, 6, 9]
     for scaled in (rows, rows * 10.0 ** rng.uniform(-6, 6, (len(rows), 1))):
         assert _greedy_keep(scaled) == expected
         assert numeric_keep(scaled, scaled[:, :0]) == expected

@@ -57,6 +57,14 @@ class TestTruth:
         assert nonzero == {Effect((3,)): 4.0, Effect((4, 5)): 2.0}
         assert len(truth) == 15
 
+    def test_truth_is_a_fresh_dict_per_call(self):
+        sc = Scenario("five_factor", 2000, "Y2", seed=3, hetero_c=2.0)
+        truth = true_effects(sc)
+        truth[Effect((3,))] = -1.0
+        again = generate(sc, 1)[1]
+        assert again == true_effects(Scenario("five_factor", 500, "Y2")) != truth
+        assert again[Effect((3,))] == 4.0 and again is not generate(sc, 2)[1]
+
     def test_max_of_normals_constant_against_quadrature(self):
         # independent check of E[max(U, V)] for standard normal U, V
         val, err = integrate.quad(
