@@ -241,26 +241,14 @@ def build_balance_system(
         elements = [(s, ()) for s in range(s_count)] + [(const, J) for J in interactions]
 
     # on a complete design redundancy is a fact about the keys alone
-    keys = _row_keys(
-        tuple(e.members for e in effects),
+    keys, row_interactions, (side, effect_ids, basis_ids, interaction_ids) = _row_keys(
+        tuple(interactions),
         tuple(elements),
         design.complete,
         bool(design.complete and drop_redundant),
     )
     numeric = bool(drop_redundant) and (drop_redundant == "numeric" or not design.complete)
 
-    # row (K, s, J, sign) weighs basis column s by the K side's part of
-    # the contrast times the J interaction, both constant within a cell:
-    # one gather from the split contrasts and the interaction values
-    effect_pos = {e.members: i for i, e in enumerate(design.effects)}
-    interaction_pos = {J: i for i, J in enumerate(dict.fromkeys(key[2] for key in keys))}
-    side, effect_ids, basis_ids, interaction_ids = np.array(
-        [
-            (int(sign < 0), effect_pos[members], s, interaction_pos[J])
-            for members, s, J, sign in keys
-        ],
-        dtype=np.intp,
-    ).T
     # priced first: G and the two arrays it is the product of, and the
     # numeric filter's compressed rows (about three arrays of them) for
     # the at most one row per observed cell on each basis column that
@@ -277,8 +265,11 @@ def build_balance_system(
             f"above the {_GATHER_BUDGET / 2**30:.0f} GiB budget; lower the interaction "
             "order or the number of basis functions"
         )
-    parts = np.stack(split_contrast(design.contrasts(cells, design.effects)))
-    r_cells = np.array([interaction_value(cells, J) for J in interaction_pos])
+    # row (K, s, J, sign) weighs basis column s by the K side's part of
+    # the contrast times the J interaction, both constant within a cell:
+    # one gather from the split contrasts and the interaction values
+    parts = np.stack(split_contrast(design.contrasts(cells, [SUMMARY, *effects])))
+    r_cells = np.array([interaction_value(cells, J) for J in row_interactions])
     G = parts[side, effect_ids] * r_cells[interaction_ids]
     # a contrast side with no observed cell (incomplete designs only) gives
     # an all-zero row: the interaction values are +-1
@@ -308,8 +299,12 @@ def _row_keys(
     elements: tuple[tuple[int, tuple[int, ...]], ...],
     complete: bool,
     independent: bool,
-) -> tuple[tuple, ...]:
-    """Deduplicated row keys (effect members, basis id, interaction, sign).
+) -> tuple[tuple[tuple, ...], tuple[tuple[int, ...], ...], np.ndarray]:
+    """Deduplicated row keys (effect members, basis id, interaction, sign),
+    the distinct interactions in order of first use, and a read-only
+    4 x keys index array: per key its side (1 for a negative part), its
+    effect's position in ``(SUMMARY, *effects)``, its basis column and
+    its interaction's position.
 
     On a complete design: summary rows plus positive-part rows with the
     interaction canonicalized (J replaced by J minus K when K is contained
@@ -338,18 +333,28 @@ def _row_keys(
         for sign in signs
     ]
     keys = tuple(dict.fromkeys(keys))  # first occurrences, in order
-    if not independent:
-        return keys
-    seen: set = set()
-    kept = []
-    for key in keys:
-        members, s, J, _sign = key
-        terms = {(s, J), (s, tuple(sorted(set(members) ^ set(J))))}
-        assert not members or terms & seen, f"row {key} touches no spanned term"
-        if not terms <= seen:
-            seen |= terms
-            kept.append(key)
-    return tuple(kept)
+    if independent:
+        seen: set = set()
+        kept = []
+        for key in keys:
+            members, s, J, _sign = key
+            terms = {(s, J), (s, tuple(sorted(set(members) ^ set(J))))}
+            assert not members or terms & seen, f"row {key} touches no spanned term"
+            if not terms <= seen:
+                seen |= terms
+                kept.append(key)
+        keys = tuple(kept)
+    effect_pos = {K: i for i, K in enumerate(((), *effect_members))}
+    interaction_pos = {J: i for i, J in enumerate(dict.fromkeys(key[2] for key in keys))}
+    index = np.array(
+        [
+            (int(sign < 0), effect_pos[members], s, interaction_pos[J])
+            for members, s, J, sign in keys
+        ],
+        dtype=np.intp,
+    ).T
+    index.setflags(write=False)
+    return keys, tuple(interaction_pos), index
 
 
 def _design_keep(G: np.ndarray, basis_ids: np.ndarray) -> np.ndarray:

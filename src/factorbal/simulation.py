@@ -28,6 +28,7 @@ from .balance import BasisSpec, build_balance_system
 from .data import Dataset
 from .design import (
     Effect,
+    FactorialDesign,
     contrast_vector,
     effect_index_set,
     enumerate_combinations,
@@ -263,12 +264,16 @@ class StudyReport:
             json.dump(payload, fh, indent=2)
 
 
-def _fit_one_rep(scenario: Scenario, rep: int, estimators: tuple[str, ...]):
-    """Per-replication estimates: {estimator: {effect: (value, variance)}}."""
+def _fit_one_rep(
+    scenario: Scenario,
+    rep: int,
+    estimators: tuple[str, ...],
+    design: FactorialDesign,
+    effects: list[Effect],
+):
+    """Per-replication estimates: {estimator: {effect: (value, variance)}},
+    on the study's design and retained effects."""
     ds, _ = generate(scenario, rep)
-    k, k_prime = scenario.k, scenario.k_prime
-    effects = effect_index_set(k, k_prime)
-    design = full_design(k, k_prime)
     out: dict[str, dict | None] = {}
     for name in estimators:
         try:
@@ -320,6 +325,8 @@ def run_study(
             raise ConfigurationError(f"unknown estimator {name!r}")
     t0 = time.perf_counter()
     truth = true_effects(scenario)
+    design = full_design(scenario.k, scenario.k_prime)
+    effects = effect_index_set(scenario.k, scenario.k_prime)
 
     if parallelism > 1:
         with ProcessPoolExecutor(max_workers=parallelism) as pool:
@@ -329,11 +336,15 @@ def run_study(
                     [scenario] * reps,
                     range(reps),
                     [estimators] * reps,
+                    [design] * reps,
+                    [effects] * reps,
                     chunksize=max(1, reps // (parallelism * 8)),
                 )
             )
     else:
-        per_rep = [_fit_one_rep(scenario, rep, estimators) for rep in range(reps)]
+        per_rep = [
+            _fit_one_rep(scenario, rep, estimators, design, effects) for rep in range(reps)
+        ]
 
     rows: list[StudyRow] = []
     kept: dict = {} if keep_estimates else None

@@ -6,6 +6,8 @@ minimum-dispersion problem directly by an active-set search.
 ``DenseOperator`` and ``numeric_keep`` are the balance operator and the
 redundancy filter computed from the system's dense P x N views;
 ``structural_keep`` is the structural filter as a per-vector loop.
+``eigh_sandwich`` is the sandwich variance from the dense views and a
+full eigendecomposition of the curvature.
 ``incomplete_design_oracle`` builds an incomplete design's effective
 contrasts from the full 2^K x 2^K contrast matrix and a pseudoinverse.
 """
@@ -138,6 +140,28 @@ class DenseOperator:
     def active_gram(self, mask):
         B_act = self.B[:, mask]
         return B_act @ B_act.T
+
+
+def eigh_sandwich(dataset, system: BalanceSystem, weights, lam, effects):
+    """Sandwich variances of ``effects`` (length E), with the curvature's
+    smallest eigenvalue and its condition number, from the dense views.
+
+    The curvature ``A = B_act B_act' / 2N`` is inverted through
+    ``np.linalg.eigh``; ``l_e = A^{-1} r_e`` with
+    ``r_e = B_act (c_e Y)_act / 2N``, and ``sigma2_e`` is the mean square
+    of ``l_e'(B_i w_i - T_i) - (w_i c_ei Y_i - tau_e)`` over units.
+    """
+    B, T = system.B, system.unit_targets
+    n = system.n
+    active = B.T @ lam < 0
+    A = B[:, active] @ B[:, active].T * 0.5 / n
+    evals, evecs = np.linalg.eigh(A)
+    C = system.design.contrasts(dataset.Z, effects)  # E x N
+    R = B[:, active] @ (C * dataset.Y)[:, active].T * 0.5 / n  # P x E
+    L = evecs @ ((evecs.T @ R) / evals[:, None])
+    S = C * weights * dataset.Y
+    contrib = (B * weights - T).T @ L - (S - S.mean(axis=1, keepdims=True)).T
+    return np.mean(contrib**2, axis=0), evals[0], evals[-1] / evals[0]
 
 
 def numeric_keep(B: np.ndarray, T: np.ndarray, tol: float = 1e-10) -> list[int]:
