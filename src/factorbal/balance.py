@@ -145,18 +145,20 @@ class BalanceSystem:
         """``B @ w``."""
         return self.cell_parts(w).sum(axis=1)
 
-    def rmatvec(self, lam: np.ndarray) -> np.ndarray:
-        """``B.T @ lam``; a P x E ``lam`` gives the N x E products."""
+    def rmatvec(self, lam: np.ndarray, units: slice = slice(None)) -> np.ndarray:
+        """``B.T @ lam``, or its rows ``units``; a P x E ``lam`` gives the
+        N x E products."""
         # per-cell sums of G times the multipliers, cells x S (x E), by basis column
         sums = np.stack([self.G[rows].T @ lam[rows] for rows in self._by_basis], axis=1)
-        return self._lift @ sums.reshape(self._lift.shape[1], *lam.shape[1:])
+        lift = self._lift if units == slice(None) else self._lift[units]
+        return lift @ sums.reshape(self._lift.shape[1], *lam.shape[1:])
 
     def active_gram(self, mask: np.ndarray) -> np.ndarray:
         """``B[:, mask] @ B[:, mask].T`` (P x P): entry (r, t) sums
         ``G[r, c] G[t, c] gram_c[s_r, s_t]`` over cells c, with ``gram_c``
         H's Gram matrix over c's masked units; one matmul per basis column.
         """
-        gram = self._cell_sums(self.basis_values * mask[:, None])  # cells x S x S
+        gram = self._cell_sums(self.basis_values * mask.astype(float)[:, None])  # cells x S x S
         out = np.empty((self.p, self.p))
         for s, rows in enumerate(self._by_basis):
             out[rows] = self.G[rows] @ (gram[:, s, self.basis_ids] * self.G.T)
@@ -451,6 +453,9 @@ def _greedy_keep(rows: np.ndarray) -> list[int]:
             q, r = np.linalg.qr(resid.T)
             clear = np.abs(np.diagonal(r)) > _KEEP_TOL / _SCREEN_MARGIN * scale[pending[: len(r)]]
             run = len(clear) if clear.all() else int(np.argmin(clear))
+            # rows past a full-rank span are dependent, however large
+            # their rounding residuals
+            run = min(run, len(basis) - len(keep))
             if run:
                 new, taken = q[:, :run].T, run
             elif norm[0] > _KEEP_TOL * scale[pending[0]]:

@@ -221,7 +221,7 @@ def cmd_estimate(config: RunConfig) -> int:
     if solution.stop_reason == STALLED:
         print(
             "note: solver line search stalled; converged at the stall tolerance "
-            f"1e-7*(1+max|b|) = {stall_tolerance(system.b):.3e} "
+            f"1e-8*(1+max|b|) = {stall_tolerance(system.b):.3e} "
             f"(gradient norm {solution.grad_norm:.3e})",
             file=sys.stderr,
         )

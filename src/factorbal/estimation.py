@@ -32,6 +32,9 @@ MAX_CURVATURE_CONDITION = 1e10
 # power iterations for the largest curvature eigenvalue, and inverse
 # iterations for the smallest, in the condition-number estimate
 CONDITION_ITERS = 8
+# bytes of each effects x units block of the per-unit terms in
+# ``weighted_estimates``; one block when they all fit
+_ESTIMATE_BLOCK = 2**20
 
 
 @dataclass(frozen=True)
@@ -71,11 +74,15 @@ def weighted_estimates(
     n = system.n
     w = np.asarray(weights, dtype=float).ravel()
     lam = np.asarray(lam, dtype=float).ravel()
+    wy = w * dataset.Y
     design = system.design
     cell_contrasts = design.contrasts(design.observed, effects)  # E x cells
-    C = np.take(cell_contrasts, system.unit_cells, axis=1)  # E x N
-    S = C * (w * dataset.Y)
-    tau = S.sum(axis=1) / n
+    # tau over blocks of effects, each effect's row summed whole, so tau
+    # is np.mean(w * c * Y) whatever the block size
+    tau = np.empty(len(effects))
+    for rows in _blocks(len(effects), n):
+        S = np.take(cell_contrasts[rows], system.unit_cells, axis=1) * wy
+        tau[rows] = S.sum(axis=1) / n
 
     active = system.rmatvec(lam) < 0
     A = system.active_gram(active) * 0.5 / n  # symmetric positive semidefinite curvature
@@ -86,17 +93,20 @@ def weighted_estimates(
     L = sla.cho_solve(factor, R, check_finite=False)
 
     # per unit: l_e'(B_i w_i - b_i) minus the centered effect contribution,
-    # built in one N x E buffer without forming the P x N residuals
-    # B_i w_i - b_i; l_e'b_i is sum_r l_er coef_r H[i, s_r], grouped by
-    # basis column
+    # built in place over blocks of units without forming the P x N
+    # residuals B_i w_i - b_i; l_e'b_i is sum_r l_er coef_r H[i, s_r],
+    # grouped by basis column
     K = np.zeros((system.basis_values.shape[1], len(effects)))
     np.add.at(K, system.basis_ids, system.coef[:, None] * L)
-    contrib = system.rmatvec(L)
-    contrib *= w[:, None]
-    contrib -= system.basis_values @ K
-    contrib -= S.T
-    contrib += tau
-    sigma2 = np.einsum("ie,ie->e", contrib, contrib) / n
+    sigma2 = np.zeros(len(effects))
+    for units in _blocks(n, len(effects)):
+        contrib = system.rmatvec(L, units)
+        contrib *= w[units, None]
+        contrib -= system.basis_values[units] @ K
+        contrib -= (np.take(cell_contrasts, system.unit_cells[units], axis=1) * wy[units]).T
+        contrib += tau
+        sigma2 += np.einsum("ie,ie->e", contrib, contrib)
+    sigma2 /= n
 
     out = []
     for e, t, s2 in zip(effects, tau, sigma2):
@@ -104,6 +114,16 @@ def weighted_estimates(
         half = Z_CRIT_95 * math.sqrt(s2 / dataset.n)
         out.append(EffectEstimate(e, t, s2, t - half, t + half, dataset.n))
     return out
+
+
+def _blocks(count: int, width: int) -> list[slice]:
+    """Consecutive slices of ``range(count)`` whose ``width``-wide float
+    blocks fit in ``_ESTIMATE_BLOCK`` bytes, each slice holding at least
+    one item; ``[slice(None)]`` when all of them fit."""
+    step = max(1, _ESTIMATE_BLOCK // (8 * width))
+    if step >= count:
+        return [slice(None)]
+    return [slice(i, min(i + step, count)) for i in range(0, count, step)]
 
 
 def _factor_curvature(A: np.ndarray) -> tuple[np.ndarray, bool]:

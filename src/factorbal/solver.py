@@ -79,7 +79,8 @@ class DualSolution:
     the gradient max-norm). ``stop_reason`` names the rule that ended the
     iteration: ``gradient`` (max-norm below ``grad_tol``), ``stalled`` (no
     ascent step at floating precision; the status is ``converged`` if the
-    gradient meets ``stall_tolerance(b)``), ``diverged`` (multipliers past
+    gradient meets ``stall_tolerance(b)``, 1e-8 * (1 + max|b|), and
+    ``max_iters`` otherwise), ``diverged`` (multipliers past
     ``DIVERGENCE_NORM``) or ``max_iters``.
     """
 
@@ -99,8 +100,10 @@ class DualSolution:
 
 
 def stall_tolerance(b: np.ndarray) -> float:
-    """Gradient max-norm at which a stalled line search counts as converged."""
-    return 1e-7 * (1 + float(np.max(np.abs(b), initial=0.0)))
+    """Gradient max-norm at which a stalled line search counts as converged:
+    the balance bound ``max|Bw - b| <= 1e-8 * (1 + max|b|)`` that
+    ``augmented_estimate`` warns past."""
+    return 1e-8 * (1 + float(np.max(np.abs(b), initial=0.0)))
 
 
 def _eval(lam, system, b):

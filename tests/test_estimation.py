@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -16,6 +17,7 @@ from factorbal.design import (
     enumerate_combinations,
     full_design,
 )
+from factorbal import estimation
 from factorbal.errors import BaselineError, ConfigurationError, VarianceError
 from factorbal.estimation import (
     MAX_CURVATURE_CONDITION,
@@ -62,6 +64,16 @@ def incomplete_fit(seed=0, n=600):
         if sol.converged:
             return ds, design, system, sol
     raise RuntimeError("no converged fit found")
+
+
+def five_factor_fit(seed=0, n=20_000):
+    """Converged fit of the five-factor study's first replication."""
+    ds, _ = generate(Scenario("five_factor", n, "Y2", seed=seed), 0)
+    design = full_design(5, 2)
+    system = build_balance_system(ds, BasisSpec(), design, drop_redundant=True)
+    sol = solve_dual(system)
+    assert sol.converged
+    return ds, design, system, sol
 
 
 def estimate(ds, system, sol, effect, weights=None):
@@ -113,14 +125,17 @@ class TestEstimateEffect:
         ds, design, system, sol = converged_fit(seed=11, n=250)
         assert np.all(sol.weights >= 0)
 
-    @pytest.mark.parametrize("fit", [converged_fit, incomplete_fit])
+    @pytest.mark.parametrize("fit", [converged_fit, incomplete_fit, five_factor_fit])
     def test_equals_mean_of_weighted_outcomes_exactly(self, fit):
         # perfbench's mc5 check matches each study estimate to the refit's
         # np.mean(w * c * Y) at rtol=1e-12, atol=0; summing the same
         # products in another order (a BLAS matvec, per-cell sums) misses
-        # that on some draws, so the arithmetic is pinned here with ==
+        # that on some draws, so the arithmetic is pinned here with ==;
+        # the five-factor draw's effects x units terms span several blocks
         ds, design, system, sol = fit(seed=9)
         effects = [e for e in design.effects if e.order > 0]
+        if fit is five_factor_fit:
+            assert 8 * ds.n * len(effects) > estimation._ESTIMATE_BLOCK
         ests = weighted_estimates(ds, system, sol.weights, sol.lam, effects)
         for est, c in zip(ests, design.contrasts(ds.Z, effects)):
             assert est.tau_hat == np.mean(sol.weights * c * ds.Y)
@@ -213,6 +228,34 @@ class TestVariance:
         c = design.effect_row(e)[design.observed_positions(ds.Z)]
         assert set(np.unique(np.abs(c))) == {0.0, 2.0}  # not +-1 contrasts
         check_finite_difference_sandwich(ds, system, sol, e, c)
+
+    @pytest.mark.parametrize("fit", [converged_fit, incomplete_fit, five_factor_fit])
+    def test_unit_blocks_leave_variance_unchanged(self, fit, monkeypatch):
+        # blocks of nine units, the last one ragged, against one block
+        ds, design, system, sol = fit(seed=21)
+        effects = [e for e in design.effects if e.order > 0]
+        monkeypatch.setattr(estimation, "_ESTIMATE_BLOCK", 2**40)
+        whole = weighted_estimates(ds, system, sol.weights, sol.lam, effects)
+        monkeypatch.setattr(estimation, "_ESTIMATE_BLOCK", 8 * 9 * len(effects))
+        assert ds.n % 9
+        blocked = weighted_estimates(ds, system, sol.weights, sol.lam, effects)
+        assert [r.tau_hat for r in blocked] == [r.tau_hat for r in whole]
+        np.testing.assert_allclose(
+            [r.sigma2_hat for r in blocked], [r.sigma2_hat for r in whole], rtol=1e-12, atol=0
+        )
+
+    def test_traced_peak_below_one_unit_by_effect_array(self):
+        # the per-unit terms go in blocks of units; one N x E array of
+        # them (12 MB here) would be most of a 46 MB peak
+        ds, design, system, sol = five_factor_fit(seed=1, n=100_000)
+        effects = effect_index_set(5, 2)
+        tracemalloc.start()
+        try:
+            weighted_estimates(ds, system, sol.weights, sol.lam, effects)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * ds.n * len(effects)
 
     def test_variance_nonnegative(self):
         ds, design, system, sol = converged_fit(seed=17, n=200)

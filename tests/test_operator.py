@@ -146,6 +146,8 @@ def test_products_match_dense(name):
     assert_close(system.rmatvec(lam), dense.rmatvec(lam))
     lams = rng.normal(size=(system.p, 3))
     assert_close(system.rmatvec(lams), dense.B.T @ lams)
+    units = slice(system.n // 3, system.n // 2)
+    assert_close(system.rmatvec(lams, units), (dense.B.T @ lams)[units])
     masks = [
         dense.rmatvec(lam) < 0,
         np.zeros(system.n, dtype=bool),
@@ -336,6 +338,24 @@ def test_greedy_keep_matches_oracle_on_low_rank_rows(seed, n, dim, rank):
     rows = rng.normal(size=(n, min(rank, dim))) @ rng.normal(size=(min(rank, dim), dim))
     rows *= 10.0 ** rng.uniform(-6, 6, (n, 1))
     assert _greedy_keep(rows) == numeric_keep(rows, rows[:, :0])
+
+
+def test_greedy_keep_stops_at_a_full_rank_span():
+    # nine factors with four cells unobserved, two units in each observed
+    # cell: one QR of the design stage clears more G rows (508 cells
+    # long) than the kept span has room for, from rounding alone
+    cells = [
+        (-1, -1, 1, 1, -1, -1, 1, 1, 1),
+        (-1, -1, -1, -1, -1, 1, 1, 1, 1),
+        (1, -1, -1, -1, -1, 1, 1, 1, -1),
+        (1, 1, -1, 1, -1, -1, 1, -1, 1),
+    ]
+    design = build_incomplete_design(9, 2, cells)
+    Z = np.repeat(design.observed, 2, axis=0)
+    rng = np.random.default_rng(0)
+    ds = Dataset(Z, rng.normal(size=(len(Z), 2)), rng.normal(size=len(Z)))
+    system = build_balance_system(ds, BasisSpec(), design, drop_redundant=True)
+    assert np.bincount(system.basis_ids).max() <= len(design.observed)
 
 
 # (k', covariate bases) per K: every order with one and three bases, plus

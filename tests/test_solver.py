@@ -1,4 +1,9 @@
 import dataclasses
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +13,7 @@ from factorbal.data import Dataset
 from factorbal.design import enumerate_combinations, full_design
 from factorbal.errors import InfeasibleProblemError
 from factorbal.simulation import Scenario, generate
+import factorbal
 from factorbal import solver
 from factorbal.solver import ROUNDOFF, SolverOptions, _eval, solve_dual, stall_tolerance
 from oracles import check_feasibility, primal_oracle
@@ -162,6 +168,36 @@ class TestSolveDual:
         sol = solve_dual(system, SolverOptions(grad_tol=1e-30))
         assert (sol.status, sol.stop_reason) == ("converged", "stalled")
         assert sol.grad_norm <= stall_tolerance(system.b)
+
+    def test_stall_above_the_balance_bound_is_not_converged(self):
+        # with one BLAS thread this five-factor draw's line search stalls
+        # at max|Bw - b| = 2.16e-5, above the balance bound
+        # 1e-8 * (1 + max|b|) = 2.0e-5 (with two it reaches the gradient
+        # tolerance); the rounding follows the thread count, which is set
+        # before numpy loads, so the solve runs in a fresh process
+        code = (
+            "import json, numpy as np\n"
+            "from factorbal.balance import BasisSpec, balance_residuals, build_balance_system\n"
+            "from factorbal.design import full_design\n"
+            "from factorbal.simulation import Scenario, generate\n"
+            "from factorbal.solver import solve_dual, stall_tolerance\n"
+            "ds, _ = generate(Scenario('five_factor', 2000, 'Y2', seed=5_000_093), 2)\n"
+            "system = build_balance_system(ds, BasisSpec(), full_design(5, 2), drop_redundant=True)\n"
+            "sol = solve_dual(system)\n"
+            "print(json.dumps([sol.status, sol.stop_reason, sol.grad_norm,\n"
+            "    balance_residuals(sol.weights, system).max_abs,\n"
+            "    1e-8 * (1 + float(np.max(np.abs(system.b)))), stall_tolerance(system.b)]))\n"
+        )
+        src = str(Path(factorbal.__file__).parents[1])
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        status, reason, grad_norm, resid, bound, tolerance = json.loads(out.stdout)
+        assert tolerance == bound
+        assert status != "converged" or resid <= bound
+        if reason == "stalled":
+            assert status == ("converged" if grad_norm <= bound else "max_iters")
 
     def test_five_factor_solve_makes_few_evaluations(self, monkeypatch):
         # starting from the all-active step avoids a Newton step on a
