@@ -1,18 +1,18 @@
 """Assembly of the balance constraint system Bw = b.
 
-Each constraint row requires a weighted sample moment of one basis
-function, restricted to the units on one side of a contrast, to match the
-moment a uniformly randomized design would produce. The assembled system
-follows the refined (non-redundant) form: one summary row per basis
-element plus one positive-part row per retained effect and element, with
-interactions canonicalized so that algebraically identical rows are
-emitted once. Negative-part rows are implied (summary minus positive) on
-a complete design and are therefore omitted there; on an incomplete
-design the implication fails, so both signed rows are kept.
+Each constraint requires a weighted sample moment of one basis function,
+weighted per treatment cell, to match the moment a uniformly randomized
+design would produce. The paper's candidate rows weigh basis column s by
+a summary or split-contrast coefficient times an interaction, per cell;
+the weights only have to meet the span of those per-cell coefficients,
+so each column keeps one basis of that span: the +-1 characters of low
+order on a complete design, the right singular vectors of the candidate
+rows on an incomplete one.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, Sequence
@@ -21,7 +21,13 @@ import numpy as np
 from scipy import sparse
 
 from .data import Dataset
-from .design import FactorialDesign, SUMMARY, interaction_value
+from .design import (
+    SUMMARY,
+    FactorialDesign,
+    character_rows,
+    enumerate_combinations,
+    interaction_value,
+)
 from .errors import ConfigurationError, DataError
 
 BasisFunction = Callable[[np.ndarray], np.ndarray]
@@ -83,16 +89,15 @@ class BalanceSystem:
     and the active curvature come from per-cell sums of H, rows grouped
     by basis column, so no P x N or P x (cells * S) array is formed;
     ``B``, ``unit_targets`` and ``element_values`` build the dense arrays
-    on demand, for inspection and tests. ``rows`` holds each row's key
-    ``(effect members, basis column, interaction, sign)``, with sign -1
-    for a negative-part row (incomplete designs only).
+    on demand, for inspection and tests. The ``G`` rows on one basis
+    column are orthogonal, each of squared norm the number of observed
+    cells, unless the numeric filter removed some of them.
     """
 
     G: np.ndarray
     basis_ids: np.ndarray
     coef: np.ndarray
     unit_cells: np.ndarray
-    rows: tuple[tuple, ...]
     elements: tuple[tuple[int, tuple[int, ...]], ...]
     basis_values: np.ndarray
     design: FactorialDesign
@@ -146,11 +151,19 @@ class BalanceSystem:
         return self.cell_parts(w).sum(axis=1)
 
     def rmatvec(self, lam: np.ndarray, units: slice = slice(None)) -> np.ndarray:
-        """``B.T @ lam``, or its rows ``units``; a P x E ``lam`` gives the
-        N x E products."""
+        """``B.T @ lam``, or its rows ``units`` (a slice of consecutive
+        units); a P x E ``lam`` gives the N x E products."""
         # per-cell sums of G times the multipliers, cells x S (x E), by basis column
         sums = np.stack([self.G[rows].T @ lam[rows] for rows in self._by_basis], axis=1)
-        lift = self._lift if units == slice(None) else self._lift[units]
+        lift = self._lift
+        if units != slice(None):
+            # every lift row holds S entries, so a block of rows is a view
+            start, stop, _ = units.indices(self.n)
+            lo, hi = start * self.basis_values.shape[1], stop * self.basis_values.shape[1]
+            lift = sparse.csr_matrix(
+                (lift.data[lo:hi], lift.indices[lo:hi], lift.indptr[: stop - start + 1]),
+                shape=(stop - start, lift.shape[1]),
+            )
         return lift @ sums.reshape(self._lift.shape[1], *lam.shape[1:])
 
     def active_gram(self, mask: np.ndarray) -> np.ndarray:
@@ -187,10 +200,13 @@ class BalanceSystem:
         return self.element_columns().T
 
 
-# bytes the row gather in ``build_balance_system`` and the numeric filter
-# may allocate; a K=14 complete design of order 2, two covariates,
-# drop_redundant=True needs 1.6 GiB
+# bytes the row build in ``build_balance_system`` and the numeric filter
+# may allocate; a K=14 complete design of order 2 with two covariates
+# needs 1.6 GiB
 _GATHER_BUDGET = 4 * 2**30
+# singular values below this fraction of the largest one do not count
+# toward an incomplete design's candidate row span
+_SPAN_TOL = 1e-10
 
 
 def build_balance_system(
@@ -199,24 +215,27 @@ def build_balance_system(
     design: FactorialDesign,
     drop_redundant: bool | str = False,
 ) -> BalanceSystem:
-    """Assemble the refined balance system for the dataset and design.
+    """Assemble the balance system for the dataset and design.
 
-    With ``drop_redundant=True`` rows that are exact linear combinations
-    of earlier rows (jointly in coefficients and targets) are removed,
-    which keeps the solver unchanged but makes the curvature matrix used
-    by the variance estimator invertible. On complete designs that is
-    decided from the row keys alone; ``"numeric"`` also removes the rows
-    that are redundant only on this dataset, e.g. under collinear covariates.
+    The paper's candidate rows on basis column s are the summary rows
+    chi_J and the split-contrast rows g_K^+ chi_J and g_K^- chi_J at the
+    observed cells, for every retained effect K and every interaction J
+    that s carries. The weights only have to meet their span V_s, so each
+    column's ``G`` rows are a basis of V_s, each with a character's norm:
+    on a complete design the +-1 characters chi_A with |A| <= min(2 k', K),
+    or |A| <= k' on a covariate column of the additive flavor; on an
+    incomplete one the right singular vectors of the candidate rows with
+    a singular value above ``_SPAN_TOL`` times the largest, times the
+    square root of the number of observed cells. Columns that carry the
+    same interactions share one basis, so one SVD is taken under
+    ``heterogeneous`` and two under ``additive``.
 
-    Redundancy is decided in two stages. The design stage drops rows that
-    are dependent whatever the data: on a complete design by the keys, on
-    an incomplete one by a greedy pass over each basis column's ``G``
-    rows (a row's coefficients and target are linear in its ``G`` row, so
-    a ``G`` row in the span of earlier ones on the same column makes the
-    row dependent). The data stage (``"numeric"``, and ``True`` on an
-    incomplete design) screens only the survivors. A dropped row lies in
-    the span of the earlier rows, so the greedy over the survivors keeps
-    the rows a greedy over every row would keep.
+    No ``G`` row is thus redundant. ``drop_redundant`` selects a data
+    stage that removes the rows redundant only on this dataset (jointly in
+    coefficients and targets), e.g. under collinear covariates, so that
+    the curvature matrix used by the variance estimator is invertible:
+    ``"numeric"`` runs it always, ``True`` only on an incomplete design,
+    and ``False`` never.
     """
     if drop_redundant not in (False, True, "numeric"):
         raise ConfigurationError(
@@ -229,66 +248,61 @@ def build_balance_system(
     H = basis.evaluate(dataset.X)
     unit_cells = design.observed_positions(dataset.Z)
     n, s_count = H.shape
-    effects = [e for e in design.effects if e != SUMMARY]
-    interactions = [e.members for e in effects]
+    k, k_prime = design.k, design.k_prime
+    interactions = [e.members for e in design.effects if e != SUMMARY]
 
     # elements: (basis column, interaction) pairs defining the balanced
     # functions; the constant function always participates so that pure
-    # treatment terms are covered and the side masses are pinned
+    # treatment terms are covered and the side masses are pinned. Groups
+    # of consecutive columns share their rows: (number of columns, the
+    # orders of the interactions J they carry, the order of their
+    # characters on a complete design)
     H = np.column_stack([H, np.ones(n)])
-    const = s_count
     if basis.model_flavor == "heterogeneous":
         elements = [(s, J) for s in range(s_count + 1) for J in interactions]
+        groups = [(s_count + 1, range(1, k_prime + 1), min(2 * k_prime, k))]
     else:
-        elements = [(s, ()) for s in range(s_count)] + [(const, J) for J in interactions]
+        elements = [(s, ()) for s in range(s_count)] + [(s_count, J) for J in interactions]
+        groups = [(s_count, range(1), k_prime), (1, range(1, k_prime + 1), min(2 * k_prime, k))]
 
-    # on a complete design redundancy is a fact about the keys alone
-    keys, row_interactions, (side, effect_ids, basis_ids, interaction_ids) = _row_keys(
-        tuple(interactions),
-        tuple(elements),
-        design.complete,
-        bool(design.complete and drop_redundant),
-    )
-    numeric = bool(drop_redundant) and (drop_redundant == "numeric" or not design.complete)
-
-    # priced first: G and the two arrays it is the product of, and the
-    # numeric filter's compressed rows (about three arrays of them) for
-    # the at most one row per observed cell on each basis column that
-    # the design stage keeps
-    cells = design.observed
-    need = 3 * 8 * len(keys) * len(cells)
+    # priced first: G and the arrays it is made from, and the numeric
+    # filter's compressed rows (about three arrays of them); on an
+    # incomplete design every candidate row counts
+    cells = design.n_observed_cells
+    numeric = drop_redundant == "numeric" or bool(drop_redundant and not design.complete)
+    counts = [
+        sum(math.comb(k, a) for a in range(order + 1)) if design.complete
+        else sum(math.comb(k, a) for a in orders) * (1 + 2 * len(interactions))
+        for _, orders, order in groups
+    ]
+    rows = sum(m * count for (m, _, _), count in zip(groups, counts))
+    need = 3 * 8 * rows * cells
     if numeric:
-        screened = np.minimum(np.bincount(basis_ids), len(cells)).sum()
-        need += 3 * 8 * int(screened) * (len(cells) + 1) * H.shape[1]
+        screened = sum(m * min(count, cells) for (m, _, _), count in zip(groups, counts))
+        need += 3 * 8 * screened * (cells + 1) * H.shape[1]
     if need > _GATHER_BUDGET:
         raise ConfigurationError(
-            f"{len(keys)} balance rows over {len(cells)} cells need about "
+            f"{rows} balance rows over {cells} cells need about "
             f"{need / 2**30:.1f} GiB{' with the numeric filter' if numeric else ''}, "
             f"above the {_GATHER_BUDGET / 2**30:.0f} GiB budget; lower the interaction "
             "order or the number of basis functions"
         )
-    # row (K, s, J, sign) weighs basis column s by the K side's part of
-    # the contrast times the J interaction, both constant within a cell:
-    # one gather from the split contrasts and the interaction values
-    parts = np.stack(split_contrast(design.contrasts(cells, [SUMMARY, *effects])))
-    r_cells = np.array([interaction_value(cells, J) for J in row_interactions])
-    G = parts[side, effect_ids] * r_cells[interaction_ids]
-    # a contrast side with no observed cell (incomplete designs only) gives
-    # an all-zero row: the interaction values are +-1
-    keep = np.flatnonzero(G.any(axis=1))
-    if drop_redundant and not design.complete:
-        keep = keep[_design_keep(G[keep], basis_ids[keep])]
-    G, basis_ids = G[keep], basis_ids[keep]
-    coef = G.sum(axis=1) / 2 ** (design.k - 1)
+    spans = [
+        _characters(k, order) if design.complete else _candidate_span(design, orders)
+        for _, orders, order in groups
+    ]
+    G = np.concatenate([np.tile(span, (m, 1)) for (m, _, _), span in zip(groups, spans)])
+    per_column = [len(span) for (m, _, _), span in zip(groups, spans) for _ in range(m)]
+    basis_ids = np.repeat(np.arange(s_count + 1), per_column)
+    coef = G.sum(axis=1) / 2 ** (k - 1)
     if numeric:
-        chosen = _numeric_keep(G, basis_ids, coef, unit_cells, H)
-        keep, G, basis_ids, coef = keep[chosen], G[chosen], basis_ids[chosen], coef[chosen]
+        keep = _numeric_keep(G, basis_ids, coef, unit_cells, H)
+        G, basis_ids, coef = G[keep], basis_ids[keep], coef[keep]
     return BalanceSystem(
         G=G,
         basis_ids=basis_ids,
         coef=coef,
         unit_cells=unit_cells,
-        rows=tuple(keys[i] for i in keep),
         elements=tuple(elements),
         basis_values=H,
         design=design,
@@ -296,89 +310,28 @@ def build_balance_system(
 
 
 @lru_cache(maxsize=64)
-def _row_keys(
-    effect_members: tuple[tuple[int, ...], ...],
-    elements: tuple[tuple[int, tuple[int, ...]], ...],
-    complete: bool,
-    independent: bool,
-) -> tuple[tuple[tuple, ...], tuple[tuple[int, ...], ...], np.ndarray]:
-    """Deduplicated row keys (effect members, basis id, interaction, sign),
-    the distinct interactions in order of first use, and a read-only
-    4 x keys index array: per key its side (1 for a negative part), its
-    effect's position in ``(SUMMARY, *effects)``, its basis column and
-    its interaction's position.
-
-    On a complete design: summary rows plus positive-part rows with the
-    interaction canonicalized (J replaced by J minus K when K is contained
-    in J, an exact identity there). On an incomplete design both signed
-    rows are kept and no canonicalization applies.
-
-    With ``independent`` (complete designs only) a key is kept iff it is
-    independent of the kept keys before it, in coefficients and targets.
-    A summary row ``((), s, J)`` is the (basis, interaction) term
-    ``(s, J)``; a row ``(K, s, J)`` is half the term ``(s, J)`` plus half
-    ``(s, K sym-diff J)``, one of them an element term. The summary rows
-    come first and span every element term, so a row is independent of
-    those before it exactly when it brings in a term not seen before.
-    """
-
-    def canonical(K: tuple[int, ...], J: tuple[int, ...]) -> tuple[int, ...]:
-        if K and set(K).issubset(J):
-            return tuple(x for x in J if x not in K)
-        return J
-
-    signs = (+1,) if complete else (+1, -1)
-    keys = [((), s, J, +1) for s, J in elements] + [
-        (K, s, canonical(K, J) if complete else J, sign)
-        for K in effect_members
-        for s, J in elements
-        for sign in signs
-    ]
-    keys = tuple(dict.fromkeys(keys))  # first occurrences, in order
-    if independent:
-        seen: set = set()
-        kept = []
-        for key in keys:
-            members, s, J, _sign = key
-            terms = {(s, J), (s, tuple(sorted(set(members) ^ set(J))))}
-            assert not members or terms & seen, f"row {key} touches no spanned term"
-            if not terms <= seen:
-                seen |= terms
-                kept.append(key)
-        keys = tuple(kept)
-    effect_pos = {K: i for i, K in enumerate(((), *effect_members))}
-    interaction_pos = {J: i for i, J in enumerate(dict.fromkeys(key[2] for key in keys))}
-    index = np.array(
-        [
-            (int(sign < 0), effect_pos[members], s, interaction_pos[J])
-            for members, s, J, sign in keys
-        ],
-        dtype=np.intp,
-    ).T
-    index.setflags(write=False)
-    return keys, tuple(interaction_pos), index
+def _characters(k: int, order: int) -> np.ndarray:
+    """Read-only (characters, 2^k cells) values of the characters chi_A
+    with |A| <= ``order``: the basis of every column's span on a complete
+    design."""
+    chars = character_rows(enumerate_combinations(k), range(order + 1))
+    chars.setflags(write=False)
+    return chars
 
 
-def _design_keep(G: np.ndarray, basis_ids: np.ndarray) -> np.ndarray:
-    """Indices of the rows whose ``G`` row is independent of the ``G`` rows
-    before it on the same basis column, by ``_greedy_keep``.
-
-    Row r's coefficients ``G[r, c_i] H[i, s_r]`` and target
-    ``sum(G[r]) / 2^(K-1) * H[i, s_r]`` are linear in ``G[r]``, so any
-    other row is that combination of earlier rows whatever H is. Columns
-    that carry the same ``G`` rows (every column, under the heterogeneous
-    flavor) share one greedy pass.
-    """
-    decided: dict[bytes, list[int]] = {}
-    kept = []
-    for s in np.unique(basis_ids):
-        rows = np.flatnonzero(basis_ids == s)
-        block = G[rows]
-        signature = block.tobytes()
-        if signature not in decided:
-            decided[signature] = _greedy_keep(block)
-        kept.append(rows[decided[signature]])
-    return np.sort(np.concatenate(kept))
+def _candidate_span(design: FactorialDesign, orders: range) -> np.ndarray:
+    """Orthogonal rows, each of squared norm the number of observed cells,
+    spanning the candidate rows of a column that carries the interactions
+    of ``orders``: chi_J, g_K^+ chi_J and g_K^- chi_J over the retained
+    effects K, with g_K the effective contrasts (observed cells only)."""
+    cells = design.observed
+    r_cells = character_rows(cells, orders)
+    parts = np.stack(split_contrast(design.effective[1:]))  # sides x effects x cells
+    candidates = np.concatenate(
+        [r_cells, (parts[:, :, None] * r_cells).reshape(-1, len(cells))]
+    )
+    _, sigma, vt = np.linalg.svd(candidates, full_matrices=False)
+    return vt[sigma > _SPAN_TOL * sigma[0]] * np.sqrt(len(cells))
 
 
 def _numeric_keep(
@@ -398,7 +351,6 @@ def _numeric_keep(
     (cells + 1) * S long whatever N is, then kept by ``_greedy_keep``.
     Each factor is taken with S zero rows appended, which leave the Gram
     matrix as it is, so it is S x S even for a cell with fewer units.
-    ``build_balance_system`` passes only the rows its design stage kept.
     """
     order = np.argsort(unit_cells, kind="stable")
     bounds = np.cumsum(np.bincount(unit_cells, minlength=G.shape[1]))

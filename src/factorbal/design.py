@@ -225,16 +225,18 @@ class FactorialDesign:
         return self.effective[pos]
 
 
-def _negligible_block(k: int, k_prime: int, cells: np.ndarray) -> np.ndarray:
-    """(cells, effects of order above ``k_prime``) contrast coefficients,
-    effects in ``effect_index_set`` order: -1 raised to the parity of the
-    AND of the effect's and the cell's -1 factor bitmasks (bit m - 1 for
-    factor m), folded by integer shifts."""
+def character_rows(cells: np.ndarray, orders: Sequence[int]) -> np.ndarray:
+    """(characters, cells) values at the combinations ``cells`` of every
+    character chi_A (the product of the levels of the factors in A) with
+    |A| in ``orders``, A by size, then lexicographically, as effects are
+    ordered: -1 raised to the parity of the AND of A's and the cell's -1
+    factor bitmasks (bit m - 1 for factor m), folded by integer shifts."""
+    k = cells.shape[1]
     masks = np.concatenate([
-        (1 << np.array(list(itertools.combinations(range(k), order)))).sum(axis=1)
-        for order in range(k_prime + 1, k + 1)
+        (1 << np.array(list(itertools.combinations(range(k), order)), dtype=np.int64)).sum(axis=1)
+        for order in orders
     ])
-    x = ((cells < 0) @ (1 << np.arange(k)))[:, None] & masks
+    x = masks[:, None] & ((cells < 0) @ (1 << np.arange(k)))
     for shift in (16, 8, 4, 2, 1):
         x ^= x >> shift
     return 1.0 - 2.0 * (x & 1)
@@ -294,7 +296,8 @@ def build_incomplete_design(
     effective = _contrast_rows(retained, observed)
     min_sv = None
     if q_u:
-        sv = np.linalg.svd(_negligible_block(k, k_prime, unobs_sorted), compute_uv=False)
+        negligible = character_rows(unobs_sorted, range(k_prime + 1, k + 1)).T
+        sv = np.linalg.svd(negligible, compute_uv=False)
         min_sv = float(sv[-1])
         if min_sv < RANK_TOL * sv[0]:
             raise IdentificationError(

@@ -30,10 +30,10 @@ class InfeasibleProblemError(FactorbalError):
 class VarianceError(FactorbalError):
     """The variance estimator's curvature matrix is singular.
 
-    Usually means the balance system carries linearly dependent rows;
-    rebuild it with ``drop_redundant="numeric"``, which also removes rows
-    that are redundant only on this data (``True`` decides from the row
-    keys alone on a complete design).
+    Usually means the balance system carries rows that are dependent on
+    this data, e.g. under collinear basis functions; rebuild it with
+    ``drop_redundant="numeric"``, which removes them (``True`` does so
+    only on an incomplete design).
     """
 
 

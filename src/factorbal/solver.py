@@ -116,7 +116,10 @@ def _eval(lam, system, b):
 
 
 def _newton_direction(system, neg, grad):
-    """Ascent direction from the generalized Hessian -(1/2) B_act B_act'."""
+    """Ascent direction from the generalized Hessian -(1/2) B_act B_act',
+    or None (``solve_dual`` then takes a gradient step) when no unit is
+    active, the Cholesky factorization fails or the direction is not a
+    finite ascent direction."""
     if not np.any(neg):
         return None
     A = 0.5 * system.active_gram(neg)
@@ -124,19 +127,11 @@ def _newton_direction(system, neg, grad):
     ridge = HESSIAN_RIDGE * tr / A.shape[0] if tr > 0 else HESSIAN_RIDGE
     A[np.diag_indices_from(A)] += ridge
     try:
-        c, low = sla.cho_factor(A, check_finite=False)
-        d = sla.cho_solve((c, low), grad, check_finite=False)
+        d = sla.cho_solve(sla.cho_factor(A, check_finite=False), grad, check_finite=False)
     except (np.linalg.LinAlgError, ValueError):
-        d = None
-    if d is None or not np.all(np.isfinite(d)) or grad @ d <= 0:
-        # fall back to a truncated eigendecomposition step
-        evals, evecs = np.linalg.eigh(A)
-        good = evals > max(ridge, 1e-14 * evals[-1])
-        if not np.any(good):
-            return None
-        d = evecs[:, good] @ ((evecs[:, good].T @ grad) / evals[good])
-        if grad @ d <= 0:
-            return None
+        return None
+    if not np.all(np.isfinite(d)) or grad @ d <= 0:
+        return None
     return d
 
 

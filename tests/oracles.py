@@ -4,23 +4,31 @@
 nonnegative weights satisfy Bw = b; ``primal_oracle`` solves the primal
 minimum-dispersion problem directly by an active-set search.
 ``DenseOperator`` and ``numeric_keep`` are the balance operator and the
-redundancy filter computed from the system's dense P x N views;
-``structural_keep`` is the structural filter as a per-vector loop.
+redundancy filter computed from the system's dense P x N views.
+``candidate_system`` is a system's balance system with the paper's
+candidate rows in place of its span basis, ``column_spans`` pairs each
+basis column's rows with its candidate rows, and ``span_residual`` and
+``span_rank`` measure how far rows lie from the span of others and the
+dimension of their own.
 ``eigh_sandwich`` is the sandwich variance from the dense views and a
 full eigendecomposition of the curvature.
 ``incomplete_design_oracle`` builds an incomplete design's effective
 contrasts from the full 2^K x 2^K contrast matrix and a pseudoinverse.
 """
 
+from dataclasses import replace
+
 import numpy as np
+from scipy import sparse
 from scipy.optimize import linprog
 
-from factorbal.balance import BalanceSystem
+from factorbal.balance import BalanceSystem, split_contrast
 from factorbal.design import (
     combination_bits,
     design_matrix,
     effect_index_set,
     enumerate_combinations,
+    interaction_value,
 )
 from factorbal.errors import IdentificationError, InfeasibleProblemError
 
@@ -28,21 +36,36 @@ from factorbal.errors import IdentificationError, InfeasibleProblemError
 def check_feasibility(system: BalanceSystem) -> bool:
     """Whether any nonnegative weight vector satisfies Bw = b exactly.
 
-    Runs a linear-programming phase-1 on the constraint system; this is
-    the infeasibility certificate backing the primal oracle.
+    Runs a linear-programming phase-1 on the constraint system, in its
+    sparse cell-sum form: free variables ``m[c, s]``, the sums of
+    ``w_i H[i, s]`` over cell c's units, and rows ``G[r] @ m[:, s_r] = b_r``.
+    It is Bw = b with N S + P cells nonzeros instead of P N, which the
+    dense form's solver could not decide in 100 s at P=375, N=4825. This
+    is the infeasibility certificate backing the primal oracle.
     """
-    B, b = system.B, system.b
+    H, G, b = system.basis_values, system.G, system.b
+    (n, s_count), (p, cells) = H.shape, G.shape
     scale = max(1.0, float(np.max(np.abs(b))))
+    sums = sparse.csr_matrix(
+        (H.ravel(), (system.unit_cells[:, None] * s_count + np.arange(s_count)).ravel(),
+         np.arange(0, n * s_count + 1, s_count)),
+        shape=(n, cells * s_count),
+    ).T
+    rows = sparse.csr_matrix(
+        (G.ravel(), (np.arange(cells) * s_count + system.basis_ids[:, None]).ravel(),
+         np.arange(0, p * cells + 1, cells)),
+        shape=(p, cells * s_count),
+    )
     res = linprog(
-        c=np.zeros(system.n),
-        A_eq=B,
-        b_eq=b,
-        bounds=(0, None),
+        c=np.zeros(n + cells * s_count),
+        A_eq=sparse.bmat([[sums, -sparse.identity(cells * s_count)], [None, rows]]),
+        b_eq=np.concatenate([np.zeros(cells * s_count), b]),
+        bounds=[(0, None)] * n + [(None, None)] * (cells * s_count),
         method="highs",
     )
     if not res.success:
         return False
-    return bool(np.max(np.abs(B @ res.x - b)) <= 1e-7 * scale)
+    return bool(np.max(np.abs(system.B @ res.x[:n] - b)) <= 1e-7 * scale)
 
 
 def primal_oracle(system: BalanceSystem, tol: float = 1e-9, max_pivots: int | None = None) -> np.ndarray:
@@ -182,43 +205,53 @@ def numeric_keep(B: np.ndarray, T: np.ndarray, tol: float = 1e-10) -> list[int]:
     return keep
 
 
-def structural_keep(keys) -> list[int]:
-    """Greedy independent subset of rows given by their keys, projecting
-    each row's (basis, interaction) term expansion against every kept
-    vector in turn."""
-    term_index: dict[tuple, int] = {}
+def candidate_system(system: BalanceSystem) -> BalanceSystem:
+    """``system`` with the paper's candidate rows: for each element
+    (s, J) the summary row chi_J, then for each retained effect K, element
+    (s, J) and contrast side the split-contrast row g_K^+- chi_J, on basis
+    column s at the observed cells; all-zero rows (a side with no observed
+    cell) are left out. Targets follow ``coef = G.sum(1) / 2^(K-1)``."""
+    design = system.design
+    cells = design.observed
+    r_cells = {J: interaction_value(cells, J) for _, J in system.elements}
+    rows = [(s, r_cells[J]) for s, J in system.elements]
+    for g in design.effective[1:]:
+        for s, J in system.elements:
+            rows += [(s, side * r_cells[J]) for side in split_contrast(g)]
+    rows = [(s, row) for s, row in rows if row.any()]
+    G = np.array([row for _, row in rows])
+    return replace(
+        system,
+        G=G,
+        basis_ids=np.array([s for s, _ in rows]),
+        coef=G.sum(axis=1) / 2 ** (design.k - 1),
+    )
 
-    def tid(s, M):
-        key = (s, tuple(sorted(M)))
-        if key not in term_index:
-            term_index[key] = len(term_index)
-        return term_index[key]
 
-    expansions = []
-    for members, s, J, _sign in keys:
-        if not members:
-            expansions.append({tid(s, J): 1.0})
-        else:
-            M = tuple(sorted(set(members).symmetric_difference(J)))
-            e1, e2 = tid(s, J), tid(s, M)
-            exp = {e1: 0.5}
-            exp[e2] = exp.get(e2, 0.0) + 0.5
-            expansions.append(exp)
+def column_spans(system: BalanceSystem) -> list[tuple[np.ndarray, np.ndarray]]:
+    """For each basis column, its ``G`` rows in ``system`` and its
+    candidate rows."""
+    cand = candidate_system(system)
+    return [
+        (system.G[system.basis_ids == s], cand.G[cand.basis_ids == s])
+        for s in range(system.basis_values.shape[1])
+    ]
 
-    dim = len(term_index)
-    basis_vecs: list[np.ndarray] = []
-    keep: list[int] = []
-    for i, exp in enumerate(expansions):
-        v = np.zeros(dim)
-        for t, c in exp.items():
-            v[t] = c
-        for q in basis_vecs:
-            v -= (q @ v) * q
-        nrm = np.linalg.norm(v)
-        if nrm > 1e-10:
-            basis_vecs.append(v / nrm)
-            keep.append(i)
-    return keep
+
+def span_residual(rows: np.ndarray, spanning: np.ndarray, tol: float = 1e-10) -> float:
+    """Largest distance of a row of ``rows`` from the span of the rows of
+    ``spanning``, relative to the row's norm; the span is that of the right
+    singular vectors with singular values above ``tol`` times the largest."""
+    _, sigma, vt = np.linalg.svd(spanning, full_matrices=False)
+    q = vt[sigma > tol * sigma[0]]
+    resid = rows - (rows @ q.T) @ q
+    return float(np.max(np.linalg.norm(resid, axis=1) / np.linalg.norm(rows, axis=1), initial=0.0))
+
+
+def span_rank(rows: np.ndarray, tol: float = 1e-10) -> int:
+    """Number of singular values of ``rows`` above ``tol`` times the largest."""
+    sigma = np.linalg.svd(rows, compute_uv=False)
+    return int(np.sum(sigma > tol * sigma[0]))
 
 
 def incomplete_design_oracle(k: int, k_prime: int, unobserved, tol: float = 1e-8):

@@ -27,7 +27,7 @@ from factorbal.design import (
 )
 from factorbal.errors import ConfigurationError, DataError
 from factorbal.solver import solve_dual
-from oracles import check_feasibility
+from oracles import check_feasibility, column_spans, span_rank, span_residual
 
 
 def memberships(effect, Z, design):
@@ -116,26 +116,12 @@ class TestMembership:
 
 class TestBuildSystem:
     def test_row_count_by_brute_force(self):
-        # count distinct canonical keys the builder should emit
+        # P is the rank of the paper's candidate rows, column by column
         k, k_prime, s_user = 3, 1, 5
         ds = random_dataset(0, n=50, k=k, d=s_user)
         system = build_balance_system(ds, BasisSpec(), full_design(k, k_prime))
-        s_ext = s_user + 1  # constant function participates
-        effects = [e.members for e in effect_index_set(k, k_prime)]
-        keys = set()
-        for s in range(s_ext):
-            for j in effects:
-                keys.add(((), s, j))
-        for members in effects:
-            for s in range(s_ext):
-                for j in effects:
-                    jc = (
-                        tuple(x for x in j if x not in members)
-                        if set(members).issubset(j)
-                        else j
-                    )
-                    keys.add((members, s, jc))
-        assert system.p == len(keys)
+        ranks = [span_rank(spanning) for _, spanning in column_spans(system)]
+        assert system.p == sum(ranks) == (s_user + 1) * 7  # |A| <= 2 of three factors
 
     def test_balanced_design_constant_basis_weight_two(self):
         Z = enumerate_combinations(2)
@@ -146,11 +132,15 @@ class TestBuildSystem:
         assert report.max_abs < 1e-12
 
     def test_summary_targets_vanish_on_full_design(self):
+        # every row is a +-1 character; only the constant one has a target
         ds = random_dataset(3)
         system = build_balance_system(ds, BasisSpec(), full_design(3, 2))
-        for (members, _s, J, _sign), target in zip(system.rows, system.b):
-            if not members and J:
-                assert target == 0.0
+        assert np.array_equal(np.abs(system.G), np.ones_like(system.G))
+        constant = np.all(system.G == 1.0, axis=1)
+        assert np.all(system.b[~constant] == 0.0)
+        sums = system.basis_values.sum(axis=0)
+        assert np.allclose(system.b[constant], 2 * sums[system.basis_ids[constant]])
+        assert np.array_equal(np.sort(system.basis_ids[constant]), np.arange(5))
 
     def test_pair_sum_identity(self):
         # the omitted negative-part row equals summary minus positive,
@@ -200,9 +190,15 @@ class TestBuildSystem:
             assert t_full == pytest.approx(t_canon, abs=1e-12)
 
     def test_duplicate_keys_emitted_once(self):
-        ds = random_dataset(5)
-        system = build_balance_system(ds, BasisSpec(), full_design(3, 2))
-        assert len(system.rows) == len(set(system.rows))
+        # no row repeats or combines others: each column's rows are
+        # orthogonal, each of squared norm the number of observed cells
+        for design in (full_design(3, 2), build_incomplete_design(3, 2, [(1, 1, 1)])):
+            ds = random_dataset(5, k=3, cells=np.arange(design.n_observed_cells))
+            system = build_balance_system(ds, BasisSpec(), design)
+            for s in range(system.basis_values.shape[1]):
+                g = system.G[system.basis_ids == s]
+                gram = g @ g.T / design.n_observed_cells
+                assert np.max(np.abs(gram - np.eye(len(g)))) < 1e-12
 
     def test_nonfinite_basis_rejected(self):
         ds = random_dataset(1, n=20)
@@ -228,12 +224,13 @@ class TestBuildSystem:
         with pytest.raises(ConfigurationError, match="at least one basis"):
             BasisSpec().evaluate(np.ones((5, 0)))
 
-    @pytest.mark.parametrize("k, drop", [(14, False), (16, True), (14, "numeric")])
+    @pytest.mark.parametrize("k, drop", [(15, False), (16, True), (14, "numeric")])
     def test_oversized_gather_rejected_before_allocating(self, k, drop):
-        # K=14 with every candidate row: 32844 rows x 16384 cells, 4 GiB
-        # for G alone; K=16 after the structural filter: 7551 x 65536;
-        # K=14 "numeric": G passes (1.6 GiB), but the numeric filter would
-        # compress its 4413 rows to length 49155, about 5 GiB
+        # K=15: 5823 rows (the characters of order <= 4 on three columns)
+        # x 32768 cells, about 4.3 GiB with the arrays G is made from;
+        # K=16: 7551 x 65536; K=14 "numeric": G passes (4413 rows,
+        # 1.6 GiB), but the numeric filter would compress its rows to
+        # length 49155, about 5 GiB
         ds, design = random_dataset(3, n=300, k=k, d=2), full_design(k, 2)
         tracemalloc.start()
         try:
@@ -245,9 +242,10 @@ class TestBuildSystem:
         assert peak < 2**26  # the build would take over 6 GiB
 
     def test_numeric_filter_on_nine_factors(self):
-        # the design stage leaves the 768 rows of the structural filter
-        # (of 5994), so the data stage compresses only those; filtering
-        # every row took about 10 s and a 189 MB traced peak
+        # the data stage compresses only the 768 span rows (the characters
+        # of order <= 4 on three columns), and none is redundant on this
+        # data; filtering the 5994 candidate rows took about 10 s and a
+        # 189 MB traced peak
         rng = np.random.default_rng(0)
         X = rng.normal(size=(2000, 2))
         Z = np.where(rng.normal(size=(2000, 9)) + 0.3 * X[:, np.arange(9) % 2] > 0, 1, -1)
@@ -259,8 +257,9 @@ class TestBuildSystem:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert numeric.rows == structural.rows and numeric.p == 768
+        assert numeric.p == 768
         assert np.array_equal(numeric.G, structural.G)
+        assert np.array_equal(numeric.basis_ids, structural.basis_ids)
         assert peak < 2**26
 
     def test_flavor_validation(self):
@@ -297,15 +296,16 @@ class TestBuildSystem:
         assert np.max(np.abs(sol_full.weights - sol_slim.weights)) < 1e-6
 
     def test_incomplete_system_has_signed_rows(self):
+        # each column's rows span exactly its candidate rows, both signed
+        # split-contrast rows included
         des = build_incomplete_design(3, 2, [(1, 1, 1)])
         cells_idx = np.arange(7)
         ds = random_dataset(13, n=80, k=3, cells=cells_idx)
         system = build_balance_system(ds, BasisSpec(), des)
-        signs = {sign for members, _s, _J, sign in system.rows if members}
-        assert signs == {+1, -1}
-        # zero negative parts (nonnegative effective rows) are not emitted
-        for row_vals, target in zip(system.B, system.b):
-            assert np.any(row_vals) or target != 0.0
+        for rows, spanning in column_spans(system):
+            assert len(rows) == span_rank(spanning)
+            assert span_residual(rows, spanning) <= 1e-10
+            assert span_residual(spanning, rows) <= 1e-10
 
 
 class TestResiduals:

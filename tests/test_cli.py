@@ -16,6 +16,7 @@ from factorbal.cli import (
 from factorbal.design import enumerate_combinations
 from factorbal.solver import SolverOptions
 from test_balance import address_space_cap
+from test_incomplete import incomplete_draw
 
 
 def write_csv(path, header, rows):
@@ -154,6 +155,31 @@ class TestEstimate:
         assert code == EXIT_OK
         lines = (tmp_path / "inc_effects.csv").read_text().strip().splitlines()
         assert len(lines) == 7  # header + 3 main + 3 pairwise
+
+    def test_eight_factors_without_four_cells(self, tmp_path):
+        # a fit whose balance rows, kept one by one by a residual test,
+        # ran to the iteration limit (exit 5 after 500 iterations)
+        ds, design = incomplete_draw(8, 4, 10_000, 0)
+        factors = [f"t{j}" for j in range(1, 9)]
+        data = tmp_path / "eight.csv"
+        write_csv(data, [*factors, "x1", "x2", "y"], np.column_stack([ds.Z, ds.X, ds.Y]).tolist())
+        unobserved = ";".join(",".join(str(v) for v in cell) for cell in design.unobserved)
+        code = main(
+            [
+                "estimate",
+                "--data", str(data),
+                "--factors", ",".join(factors),
+                "--covariates", "x1,x2",
+                "--outcome", "y",
+                "--max-order", "2",
+                f"--unobserved={unobserved}",  # the levels start with "-"
+                "--out", str(tmp_path / "eight"),
+            ]
+        )
+        assert code == EXIT_OK
+        lines = (tmp_path / "eight_effects.csv").read_text().strip().splitlines()
+        assert len(lines) == 1 + 8 + 28
+        assert all(np.isfinite([float(v) for v in line.split(",")[1:]]).all() for line in lines[1:])
 
     def test_missing_column_is_data_error(self, tmp_path):
         data = tmp_path / "data.csv"

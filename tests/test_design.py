@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from factorbal.design import (
     Effect,
     SUMMARY,
-    _negligible_block,
     build_incomplete_design,
+    character_rows,
     contrast_vector,
     design_matrix,
     effect_index_set,
@@ -301,7 +301,7 @@ class TestIncompleteDesignParity:
         cells = enumerate_combinations(k)[rng.choice(2**k, 5, replace=False)]
         negligible = [e for e in effect_index_set(k, k) if e.order > k_prime]
         want = np.array([interaction_value(cells, e.members) for e in negligible]).T
-        assert np.array_equal(_negligible_block(k, k_prime, cells), want)
+        assert np.array_equal(character_rows(cells, range(k_prime + 1, k + 1)).T, want)
 
     @pytest.mark.parametrize("k", range(2, 8))
     def test_complete_design_is_the_contrast_matrix(self, k):

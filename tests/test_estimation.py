@@ -263,16 +263,22 @@ class TestVariance:
             assert estimate(ds, system, sol, e).sigma2_hat >= 0
 
     def test_singular_curvature_rejected(self):
+        # X3 = X1 - X2: the rows on basis column 2 are those on columns 0
+        # and 1 combined, and without the data stage they stay
         ds, design, system, sol = converged_fit(seed=19, n=200)
-        redundant = build_balance_system(ds, BasisSpec(), design)
+        X = ds.X[:, :3].copy()
+        X[:, 2] = X[:, 0] - X[:, 1]
+        ds = Dataset(ds.Z, X, ds.Y)
+        redundant = build_balance_system(ds, BasisSpec(), design, drop_redundant=False)
         sol2 = solve_dual(redundant)
+        assert sol2.converged
         with pytest.raises(VarianceError):
             estimate(ds, redundant, sol2, Effect((1,)))
 
     def test_singular_curvature_advice_gives_finite_variances(self):
-        # X3 = X1 - X2: on a complete design True decides from the keys
-        # alone, so the rows redundant only on this data stay until the
-        # advised "numeric" build removes them
+        # X3 = X1 - X2: on a complete design True runs no data stage, so
+        # the rows redundant only on this data stay until the advised
+        # "numeric" build removes them
         ds, _ = generate(Scenario("three_factor", 600, "Y1", seed=0), 0)
         X = ds.X[:, :3].copy()
         X[:, 2] = X[:, 0] - X[:, 1]

@@ -1,19 +1,23 @@
-"""End-to-end estimation when one treatment combination is never observed."""
+"""End-to-end estimation when treatment combinations are never observed."""
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.special import expit
 
-from factorbal.balance import BasisSpec, build_balance_system
+from factorbal.balance import BasisSpec, balance_residuals, build_balance_system
 from factorbal.data import Dataset
-from factorbal.design import build_incomplete_design, effect_index_set
+from factorbal.design import build_incomplete_design, effect_index_set, enumerate_combinations
+from factorbal.errors import IdentificationError
 from factorbal.estimation import (
     augmented_estimate,
     fit_outcome_coeffs,
     smd_report,
     weighted_estimates,
 )
-from factorbal.solver import solve_dual
+from factorbal.solver import INFEASIBLE, solve_dual
+from oracles import candidate_system, check_feasibility, column_spans, span_rank, span_residual
 
 TRUTH = {(1,): 2.0, (2,): 0.0, (3,): 0.0, (1, 2): 1.0, (1, 3): 0.0, (2, 3): 0.0}
 
@@ -85,3 +89,90 @@ class TestIncompleteEstimation:
         after = max(r.after for r in rows)
         assert before > 0.05
         assert after <= 1e-6
+
+
+def incomplete_draw(k, q_u, n, seed):
+    """Logistic assignment of K factors in two standard-normal covariates
+    (coefficients N(0, 0.5^2)), with every unit of ``q_u`` random cells
+    removed; the cells are redrawn until the order-2 effects are
+    identified. Returns the dataset and its design."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, 2))
+    beta = rng.normal(scale=0.5, size=(2, k))
+    Z = np.where(rng.random((n, k)) < expit(X @ beta), 1, -1)
+    while True:
+        cells = enumerate_combinations(k)[rng.choice(2**k, q_u, replace=False)]
+        try:
+            design = build_incomplete_design(k, 2, cells)
+            break
+        except IdentificationError:
+            continue
+    keep = ~(Z[:, None, :] == cells).all(axis=2).any(axis=1)
+    X, Z = X[keep], Z[keep]
+    Y = X.sum(axis=1) + Z[:, 0] + rng.normal(size=len(Z))
+    return Dataset(Z, X, Y), design
+
+
+class TestManyFactors:
+    """Incomplete designs past six factors, where keeping rows one by one
+    by a residual test lost part of the span and kept near-dependent rows:
+    these fits ran to the iteration limit or raised ``VarianceError``."""
+
+    @pytest.mark.parametrize(
+        "k, q_u, n, seed",
+        [(7, 3, 5000, 0), (7, 3, 5000, 1), (7, 3, 5000, 2), (8, 4, 10_000, 0), (9, 4, 20_000, 0)],
+    )
+    def test_fit_converges_or_is_infeasible(self, k, q_u, n, seed):
+        ds, design = incomplete_draw(k, q_u, n, seed)
+        system = build_balance_system(ds, BasisSpec(), design, drop_redundant=True)
+        sol = solve_dual(system)
+        if sol.status == INFEASIBLE:
+            assert not check_feasibility(system)
+            return
+        assert sol.converged and sol.iterations <= 20
+        ests = weighted_estimates(ds, system, sol.weights, sol.lam, effect_index_set(k, 2))
+        assert all(np.isfinite(e.sigma2_hat) and e.sigma2_hat > 0 for e in ests)
+        cand = candidate_system(system)
+        bound = 1e-9 * (1 + np.max(np.abs(cand.b)))
+        assert balance_residuals(sol.weights, cand).max_abs <= bound
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_weights_meet_every_candidate_row(self, seed):
+        # six factors, three cells removed: every fit converges, and the
+        # weights balance the paper's unfiltered candidate rows, not only
+        # the kept ones
+        ds, design = incomplete_draw(6, 3, 5000, seed)
+        system = build_balance_system(ds, BasisSpec(), design, drop_redundant=True)
+        sol = solve_dual(system)
+        assert sol.converged
+        cand = candidate_system(system)
+        bound = 1e-9 * (1 + np.max(np.abs(cand.b)))
+        assert balance_residuals(sol.weights, cand).max_abs <= bound
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    k=st.integers(3, 8),
+    data=st.data(),
+    flavor=st.sampled_from(["heterogeneous", "additive"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rows_span_the_candidate_rows(k, data, flavor, seed):
+    # on a random identifiable incomplete design each column's rows and
+    # its candidate rows span each other, and P is their rank
+    k_prime = data.draw(st.integers(1, min(k - 1, 3 if k <= 5 else 2)))
+    q_u = data.draw(st.integers(1, min(4, 2**k - len(effect_index_set(k, k_prime)) - 1)))
+    rng = np.random.default_rng(seed)
+    cells = enumerate_combinations(k)[rng.choice(2**k, q_u, replace=False)]
+    try:
+        design = build_incomplete_design(k, k_prime, cells)
+    except IdentificationError:
+        assume(False)
+    ds = Dataset(design.observed, rng.normal(size=(len(design.observed), 2)), np.zeros(len(design.observed)))
+    system = build_balance_system(ds, BasisSpec(model_flavor=flavor), design)
+    ranks = 0
+    for rows, spanning in column_spans(system):
+        ranks += span_rank(spanning)
+        assert span_residual(rows, spanning) <= 1e-10
+        assert span_residual(spanning, rows) <= 1e-10
+    assert system.p == ranks

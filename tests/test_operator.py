@@ -1,9 +1,10 @@
 """The factored balance operator against the dense P x N system.
 
-The dense references are built from each row's definition (contrast side
-times basis column times interaction, at every unit), or from the
+The dense references are built from each row's definition (its per-cell
+coefficient at each unit's cell times its basis column), or from the
 system's dense views in ``oracles.DenseOperator`` and
-``oracles.numeric_keep``.
+``oracles.numeric_keep``; the rows themselves are checked against the
+span of the paper's candidate rows, ``oracles.candidate_system``.
 """
 
 import tracemalloc
@@ -17,11 +18,9 @@ from factorbal.balance import (
     _KEEP_TOL,
     _SCREEN_BLOCK,
     BasisSpec,
-    _design_keep,
     _greedy_keep,
     _numeric_keep,
     build_balance_system,
-    split_contrast,
 )
 from factorbal.data import Dataset
 from factorbal.design import (
@@ -34,7 +33,7 @@ from factorbal.design import (
 from factorbal.estimation import weighted_estimates
 from factorbal.simulation import Scenario, generate
 from factorbal.solver import solve_dual
-from oracles import DenseOperator, numeric_keep, structural_keep
+from oracles import DenseOperator, column_spans, numeric_keep, span_rank, span_residual
 
 RTOL = 1e-12
 FIVE_REMOVED = [(1, 1, 1, 1, 1), (1, 1, 1, -1, -1)]
@@ -106,24 +105,27 @@ def assert_close(got, want, rtol=RTOL):
 
 def defined_rows(ds, system):
     """B and the per-unit targets from each row's definition."""
-    design = system.design
-    pos = {e.members: i for i, e in enumerate(design.effects)}
-    unit_parts = split_contrast(design.contrasts(ds.Z, design.effects))
-    cell_parts = split_contrast(design.contrasts(design.observed, design.effects))
-    H = system.basis_values
-    B, T = [], []
-    for members, s, J, sign in system.rows:
-        side, e = (0 if sign > 0 else 1), pos[members]
-        h = H[:, s]
-        B.append(unit_parts[side][e] * h * interaction_value(ds.Z, J))
-        coef = cell_parts[side][e] @ interaction_value(design.observed, J)
-        T.append(coef / 2 ** (design.k - 1) * h)
-    return np.array(B), np.array(T)
+    in_cell = system.unit_cells[:, None] == np.arange(system.design.n_observed_cells)
+    h = system.basis_values[:, system.basis_ids].T
+    coef = system.G.sum(axis=1) / 2 ** (system.design.k - 1)
+    return (system.G @ in_cell.T) * h, coef[:, None] * h
+
+
+def assert_same_span(system):
+    """Each basis column's rows are independent and span exactly its
+    candidate rows."""
+    for rows, spanning in column_spans(system):
+        assert len(rows) == span_rank(rows) == span_rank(spanning)
+        assert span_residual(rows, spanning) <= 1e-10
+        assert span_residual(spanning, rows) <= 1e-10
 
 
 @pytest.mark.parametrize("name", CASES)
 def test_dense_views_match_row_definitions(name):
     ds, system = case(name)
+    # each row lies in the span of its column's candidate rows
+    for rows, spanning in column_spans(system):
+        assert span_residual(rows, spanning) <= 1e-10
     B, T = defined_rows(ds, system)
     assert_close(system.B, B)
     assert_close(system.unit_targets, T)
@@ -190,7 +192,8 @@ def six_factor(seed, n=900):
     return Dataset(Z, X, rng.normal(size=n))
 
 
-# (dataset, design) pairs whose unfiltered systems hold redundant rows
+# (dataset, design) pairs for the numeric filter; the span rows of those
+# in DATA_REDUNDANT are redundant on the data
 FILTER_DRAWS = {
     "incomplete": lambda: (without_cells(three_factor(3, 400), [(1, 1, 1)]),
                            build_incomplete_design(3, 2, [(1, 1, 1)])),
@@ -220,12 +223,12 @@ FILTER_DRAWS = {
     "unitless-cell": lambda: (without_cells(three_factor(14, 400), [(1, 1, 1), (1, -1, 1)]),
                               build_incomplete_design(3, 2, [(1, 1, 1)])),
     # the additive flavor: covariate columns carry only uninteracted rows
-    # (31, of which the design stage keeps 23), the constant column every
-    # interaction (465, 30 kept), so each set of G rows takes its own pass
+    # (31 candidates spanning 23 dimensions), the constant column every
+    # interaction (465 spanning 30), so each takes its own SVD
     "additive-incomplete": lambda: (without_cells(five_factor(16, 800), FIVE_REMOVED, d=2),
                                     build_incomplete_design(5, 2, FIVE_REMOVED)),
-    # X3 = X1 - X2 on an incomplete design: the data stage drops rows on
-    # column 2 that the design stage keeps
+    # X3 = X1 - X2 on an incomplete design: the data stage drops the rows
+    # on column 2
     "collinear-incomplete": lambda: (
         with_covariates(without_cells(three_factor(17, 400), [(1, 1, 1)]),
                         lambda X: np.column_stack([X[:, 0], X[:, 1], X[:, 0] - X[:, 1]])),
@@ -233,6 +236,8 @@ FILTER_DRAWS = {
     "six-factor-complete": lambda: (six_factor(18), full_design(6, 2)),
 }
 FILTER_SPECS = {"additive-incomplete": BasisSpec(model_flavor="additive")}
+DATA_REDUNDANT = {"duplicated-covariate", "combined-covariate", "constant-covariate",
+                  "collinear-incomplete"}
 
 
 @pytest.mark.parametrize("draw", list(FILTER_DRAWS))
@@ -242,18 +247,11 @@ def test_compressed_filter_keeps_dense_rows(draw):
     full = build_balance_system(ds, spec, design)
     keep = numeric_keep(full.B, full.unit_targets)
     assert _numeric_keep(full.G, full.basis_ids, full.coef, full.unit_cells, full.basis_values) == keep
-    assert 0 < len(keep) < full.p
-    # the design stage drops no row the dense filter keeps
-    if design.complete:
-        survivors = build_balance_system(ds, spec, design, drop_redundant=True).rows
-    else:
-        survivors = [full.rows[i] for i in _design_keep(full.G, full.basis_ids)]
-    assert {full.rows[i] for i in keep} <= set(survivors)
-    if draw == "collinear-incomplete":
-        assert len(keep) < len(survivors)
+    assert 0 < len(keep) <= full.p
+    assert (len(keep) < full.p) == (draw in DATA_REDUNDANT)
     slim = build_balance_system(ds, spec, design, drop_redundant="numeric")
-    assert slim.rows == tuple(full.rows[i] for i in keep)
     assert np.array_equal(slim.G, full.G[keep]) and np.array_equal(slim.coef, full.coef[keep])
+    assert np.array_equal(slim.basis_ids, full.basis_ids[keep])
 
 
 def test_greedy_keep_finds_rows_after_long_dependent_runs():
@@ -342,8 +340,9 @@ def test_greedy_keep_matches_oracle_on_low_rank_rows(seed, n, dim, rank):
 
 def test_greedy_keep_stops_at_a_full_rank_span():
     # nine factors with four cells unobserved, two units in each observed
-    # cell: one QR of the design stage clears more G rows (508 cells
-    # long) than the kept span has room for, from rounding alone
+    # cell: the data stage screens 1398 span rows whose compressed rows
+    # span only 2 * 508 + 3 dimensions (each cell's basis values have
+    # rank 2), and keeps exactly that many
     cells = [
         (-1, -1, 1, 1, -1, -1, 1, 1, 1),
         (-1, -1, -1, -1, -1, 1, 1, 1, 1),
@@ -355,6 +354,7 @@ def test_greedy_keep_stops_at_a_full_rank_span():
     rng = np.random.default_rng(0)
     ds = Dataset(Z, rng.normal(size=(len(Z), 2)), rng.normal(size=len(Z)))
     system = build_balance_system(ds, BasisSpec(), design, drop_redundant=True)
+    assert system.p == 2 * len(design.observed) + 3
     assert np.bincount(system.basis_ids).max() <= len(design.observed)
 
 
@@ -370,6 +370,8 @@ STRUCTURAL_SHAPES = {
 @pytest.mark.parametrize("flavor", ["heterogeneous", "additive"])
 @pytest.mark.parametrize("k", list(STRUCTURAL_SHAPES))
 def test_structural_filter_keeps_oracle_rows(k, flavor):
+    # on a complete design every column's rows are characters spanning its
+    # candidate rows, so True (no data stage there) builds the same system
     combos = enumerate_combinations(k)
     rng = np.random.default_rng(k)
     for k_prime, s_count in STRUCTURAL_SHAPES[k]:
@@ -377,7 +379,8 @@ def test_structural_filter_keeps_oracle_rows(k, flavor):
         spec, design = BasisSpec(model_flavor=flavor), full_design(k, k_prime)
         full = build_balance_system(ds, spec, design)
         kept = build_balance_system(ds, spec, design, drop_redundant=True)
-        assert kept.rows == tuple(full.rows[i] for i in structural_keep(full.rows))
+        assert np.array_equal(kept.G, full.G) and np.array_equal(kept.basis_ids, full.basis_ids)
+        assert_same_span(full)
 
 
 @pytest.mark.parametrize("name", ["complete", "additive", "incomplete", "five-factor"])

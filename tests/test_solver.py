@@ -232,6 +232,21 @@ class TestSolveDual:
         assert sol.iterations == 1
         assert np.max(np.abs(sol.weights - w_min)) <= 1e-10
 
+    def test_failed_cholesky_falls_back_to_gradient_steps(self, monkeypatch):
+        # every Newton factorization fails: the solve takes gradient steps
+        # only, ascends, and ends in a documented status without raising
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("not positive definite")
+
+        monkeypatch.setattr(solver.sla, "cho_factor", fail)
+        _, system = feasible_instance(11, n=80, k=2, d=1)
+        sol = solve_dual(system, SolverOptions(max_iters=50))
+        assert sol.status in (solver.CONVERGED, solver.INFEASIBLE, solver.MAX_ITERS)
+        assert sol.stop_reason in (solver.GRADIENT, solver.STALLED, solver.DIVERGED, solver.MAX_ITERS)
+        assert sol.iterations > 0 and sol.objective > sol.objective_trace[0]
+        assert np.all(np.diff(sol.objective_trace) >= -ROUNDOFF * np.abs(sol.objective_trace[1:]))
+        assert np.all(sol.weights >= 0) and np.all(np.isfinite(sol.weights))
+
     def test_option_validation(self):
         with pytest.raises(ValueError):
             SolverOptions(max_iters=0)
