@@ -388,6 +388,10 @@ def _greedy_keep(rows: np.ndarray) -> list[int]:
     once and Q's columns extend the basis. If the first pending row does
     not clear that bar, every row before it is decided, so it takes the
     test itself. The kept indices are those of the row-by-row loop.
+
+    The basis buffer holds min(rows, dim) rows: every row that
+    ``_numeric_keep`` passes, at most S * cells of length (cells + 1) * S.
+    Past a full-rank span a row's residual is rounding, which the screen drops.
     """
     n_rows, dim = rows.shape
     basis = np.empty((min(n_rows, dim), dim))
@@ -405,9 +409,6 @@ def _greedy_keep(rows: np.ndarray) -> list[int]:
             q, r = np.linalg.qr(resid.T)
             clear = np.abs(np.diagonal(r)) > _KEEP_TOL / _SCREEN_MARGIN * scale[pending[: len(r)]]
             run = len(clear) if clear.all() else int(np.argmin(clear))
-            # rows past a full-rank span are dependent, however large
-            # their rounding residuals
-            run = min(run, len(basis) - len(keep))
             if run:
                 new, taken = q[:, :run].T, run
             elif norm[0] > _KEEP_TOL * scale[pending[0]]:

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
+import io
 import json
 import os
 import sys
@@ -79,56 +81,90 @@ class RunConfig:
             raise ConfigurationError(f"unknown output format {self.out_format!r}")
 
 
-def read_table(path: str) -> tuple[list[str], list[list[str]]]:
-    """Read a comma-separated file with a mandatory header row."""
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            rows = list(reader)
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    if not rows:
-        raise DataError(f"{path} is empty")
-    header, body = rows[0], rows[1:]
-    if not body:
-        raise DataError(f"{path} has a header but no data rows")
-    width = len(header)
-    for i, row in enumerate(body, start=2):
-        if len(row) != width:
-            raise DataError(f"{path} line {i}: expected {width} fields, got {len(row)}")
-    return header, body
+class Table:
+    """A comma-separated file with a mandatory header row, read as numbers.
 
+    A body with no empty line (``loadtxt`` skips them) is parsed in one
+    ``np.loadtxt`` pass, which accepts only cells ``float`` reads alike.
+    Where it fails (text, a quote, a ragged row, an empty cell, ``1_0``,
+    a non-ASCII digit), the scanner (``csv.reader``, then ``float``)
+    reads the body and words each error by line and column, as it does
+    for a column holding a non-finite value.
+    """
 
-def _column(header: list[str], body: list[list[str]], name: str, path: str) -> np.ndarray:
-    if name not in header:
-        raise DataError(f"{path}: column {name!r} not found in header")
-    j = header.index(name)
-    cells = [row[j] for row in body]
-    try:
-        values = np.fromiter(map(float, cells), float, len(cells))
-    except ValueError:
-        # name the first cell that does not parse
-        for i, cell in enumerate(cells):
-            try:
-                float(cell)
-            except ValueError:
-                raise DataError(
-                    f"{path} line {i + 2}: cannot parse {cell!r} in column {name!r}"
-                ) from None
-        raise
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        i = int(bad[0])
-        raise DataError(
-            f"{path} line {i + 2}: non-finite value {cells[i]!r} in column {name!r}"
-        )
-    return values
+    def __init__(self, path: str):
+        try:
+            with open(path, newline="", encoding="utf-8") as fh:
+                text = fh.read()  # decoded in one call, so exc.start is the file offset
+        except OSError as exc:
+            raise DataError(f"cannot read {path}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+        buf = io.StringIO(text, newline="")
+        header = next(csv.reader(buf), None)
+        if header is None:
+            raise DataError(f"{path} is empty")
+        self.path, self.header = path, header
+        self._body = text[buf.tell() :]
+        self._values = self._parse(self._body, len(header))
+        # without the one-pass parse the scanner reports structure errors first
+        self._rows = self._scan() if self._values is None else None
+
+    @staticmethod
+    def _parse(body: str, width: int) -> np.ndarray | None:
+        if not body or body[0] in "\r\n" or any(p in body for p in ("\n\n", "\r\r", "\n\r")):
+            return None
+        try:
+            values = np.loadtxt(io.StringIO(body, newline=""), delimiter=",",
+                                comments=None, quotechar=None, ndmin=2)
+        except ValueError:
+            return None
+        return values if values.shape[1] == width else None
+
+    def _scan(self) -> list[list[str]]:
+        rows = list(csv.reader(io.StringIO(self._body, newline="")))
+        if not rows:
+            raise DataError(f"{self.path} has a header but no data rows")
+        width = len(self.header)
+        for i, row in enumerate(rows, start=2):
+            if len(row) != width:
+                raise DataError(f"{self.path} line {i}: expected {width} fields, got {len(row)}")
+        return rows
+
+    def column(self, name: str) -> np.ndarray:
+        """The named column; a cell that is not a finite number is a ``DataError``."""
+        if name not in self.header:
+            raise DataError(f"{self.path}: column {name!r} not found in header")
+        j = self.header.index(name)
+        if self._values is not None and np.isfinite(self._values[:, j]).all():
+            return self._values[:, j].copy()
+        if self._rows is None:
+            self._rows = self._scan()
+        cells = [row[j] for row in self._rows]
+        try:
+            values = np.fromiter(map(float, cells), float, len(cells))
+        except ValueError:
+            # name the first cell that does not parse
+            for i, cell in enumerate(cells):
+                try:
+                    float(cell)
+                except ValueError:
+                    raise DataError(
+                        f"{self.path} line {i + 2}: cannot parse {cell!r} in column {name!r}"
+                    ) from None
+            raise
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            i = int(bad[0])
+            raise DataError(
+                f"{self.path} line {i + 2}: non-finite value {cells[i]!r} in column {name!r}"
+            )
+        return values
 
 
 def load_dataset(config: RunConfig) -> Dataset:
-    header, body = read_table(config.data_path)
-    z_cols = [_column(header, body, c, config.data_path) for c in config.factor_columns]
-    Z = np.column_stack(z_cols)
+    table = Table(config.data_path)
+    Z = np.column_stack([table.column(c) for c in config.factor_columns])
     if config.factor_coding == "zero_one":
         if not np.all(np.isin(Z, (0, 1))):
             raise DataError("factor columns must contain only 0/1 under zero_one coding")
@@ -136,7 +172,7 @@ def load_dataset(config: RunConfig) -> Dataset:
     if not np.all(np.isin(Z, (-1, 1))):
         raise DataError("factor columns must contain only -1/+1 under pm1 coding")
     names = [*config.covariate_columns, config.outcome_column]
-    columns = [_column(header, body, c, config.data_path) for c in names]
+    columns = [table.column(c) for c in names]
     return Dataset(Z.astype(int), np.column_stack(columns[:-1]), columns[-1])
 
 
@@ -238,12 +274,12 @@ def cmd_diagnose(config: RunConfig, weights_path: str) -> int:
     config.validate()
     dataset = load_dataset(config)
     design = resolve_design(config, dataset)
-    header, body = read_table(weights_path)
-    if "weight" not in header:
+    table = Table(weights_path)
+    if "weight" not in table.header:
         raise DataError(f"{weights_path}: missing 'weight' column")
-    weights = _column(header, body, "weight", weights_path)
-    if "unit_index" in header:
-        idx = _column(header, body, "unit_index", weights_path)
+    weights = table.column("weight")
+    if "unit_index" in table.header:
+        idx = table.column("unit_index")
         if not np.array_equal(idx, np.arange(len(idx))):
             raise DataError(f"{weights_path}: unit_index must be 0..N-1 in order")
     if weights.shape[0] != dataset.n:
@@ -436,8 +472,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# parse_args leaves a parser as it was, so one serves every call
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     try:
         if args.command == "estimate":

@@ -107,9 +107,12 @@ def stall_tolerance(b: np.ndarray) -> float:
 
 
 def _eval(lam, system, b):
+    """Scores u = B'lam, the active mask u <= 0, weights, objective and
+    gradient at lam. The weights max(-u/2, 0) carry no sign: where u is
+    +0.0 (every unit at lam = 0) they are +0.0, not -0.0."""
     u = system.rmatvec(lam)
     neg = u <= 0  # units at the kink are active: w_i = 0 there either way
-    w = np.where(neg, -0.5 * u, 0.0)
+    w = np.maximum(-0.5 * u, 0.0)
     obj = -float(w @ w) - float(lam @ b)
     grad = system.matvec(w) - b
     return u, neg, w, obj, grad

@@ -229,6 +229,20 @@ class TestEstimate:
             f"error: {data} line 201: cannot parse '1.5.2' in column 'x2'\n"
         )
 
+    def test_data_file_not_utf8(self, tmp_path, capsys):
+        # a cell of bytes that are not UTF-8 is a data error naming the
+        # file and the first such byte, not a decoding traceback
+        data = tmp_path / "data.csv"
+        make_survey_like(data, n=200)
+        lines = data.read_bytes().split(b"\r\n")
+        lines[150] = lines[150].replace(b",", b",\xff\xfe", 1)
+        data.write_bytes(b"\r\n".join(lines))
+        assert main(base_args(data, tmp_path / "x")) == EXIT_DATA
+        offset = data.read_bytes().index(b"\xff")
+        assert capsys.readouterr().err == (
+            f"error: {data} is not UTF-8 text: invalid start byte at byte {offset}\n"
+        )
+
     @pytest.mark.parametrize("column, cell", [("x1", "nan"), ("y", "-inf")])
     def test_nonfinite_value_reports_line_and_column(self, tmp_path, capsys, column, cell):
         data = tmp_path / "bad.csv"
@@ -541,6 +555,31 @@ class TestDiagnose:
             f"error: {wfile} line 8: non-finite value {cell!r} in column {column!r}\n"
         )
         assert not (tmp_path / "nf_smd.csv").exists()
+
+    def test_weights_file_not_utf8(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        make_survey_like(data, n=300, seed=5)
+        wfile = tmp_path / "w.csv"
+        write_csv(wfile, ["unit_index", "weight"], [[i, 1.0] for i in range(300)])
+        raw = wfile.read_bytes().replace(b"\n7,1.0", b"\n7,\xff\xfe", 1)
+        wfile.write_bytes(raw)
+        code = main(
+            [
+                "diagnose",
+                "--data", str(data),
+                "--factors", "t1,t2,t3,t4",
+                "--covariates", "x1,x2,x3,x4,x5,x6",
+                "--outcome", "y",
+                "--weights", str(wfile),
+                "--out", str(tmp_path / "nu"),
+            ]
+        )
+        assert code == EXIT_DATA
+        offset = raw.index(b"\xff")
+        assert capsys.readouterr().err == (
+            f"error: {wfile} is not UTF-8 text: invalid start byte at byte {offset}\n"
+        )
+        assert not (tmp_path / "nu_smd.csv").exists()
 
 
 class TestSimulate:
