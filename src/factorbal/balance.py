@@ -13,7 +13,7 @@ rows on an incomplete one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
@@ -91,7 +91,7 @@ class BalanceSystem:
     ``B``, ``unit_targets`` and ``element_values`` build the dense arrays
     on demand, for inspection and tests. The ``G`` rows on one basis
     column are orthogonal, each of squared norm the number of observed
-    cells, unless the numeric filter removed some of them.
+    cells, unless the data stage removed some of them.
     """
 
     G: np.ndarray
@@ -166,12 +166,19 @@ class BalanceSystem:
             )
         return lift @ sums.reshape(self._lift.shape[1], *lam.shape[1:])
 
+    @cached_property
+    def cell_gram(self) -> np.ndarray:
+        """H's Gram matrix over each observed cell's units (cells x S x S)."""
+        return self._cell_sums(self.basis_values)
+
     def active_gram(self, mask: np.ndarray) -> np.ndarray:
         """``B[:, mask] @ B[:, mask].T`` (P x P): entry (r, t) sums
         ``G[r, c] G[t, c] gram_c[s_r, s_t]`` over cells c, with ``gram_c``
-        H's Gram matrix over c's masked units; one matmul per basis column.
+        H's Gram matrix over c's masked units (cells x S x S); one matmul
+        per basis column.
         """
-        gram = self._cell_sums(self.basis_values * mask.astype(float)[:, None])  # cells x S x S
+        gram = (self.cell_gram if mask.all()
+                else self._cell_sums(self.basis_values * mask.astype(float)[:, None]))
         out = np.empty((self.p, self.p))
         for s, rows in enumerate(self._by_basis):
             out[rows] = self.G[rows] @ (gram[:, s, self.basis_ids] * self.G.T)
@@ -200,20 +207,27 @@ class BalanceSystem:
         return self.element_columns().T
 
 
-# bytes the row build in ``build_balance_system`` and the numeric filter
+# bytes the row build in ``build_balance_system`` and its data stage
 # may allocate; a K=14 complete design of order 2 with two covariates
 # needs 1.6 GiB
 _GATHER_BUDGET = 4 * 2**30
 # singular values below this fraction of the largest one do not count
 # toward an incomplete design's candidate row span
 _SPAN_TOL = 1e-10
+# the data stage filters only if a cell's Gram matrix of H has an eigenvalue
+# below this fraction of the largest of any cell's: G's rows on a column are
+# orthogonal of squared norm cells, so lambda_min(B B') >= cells * min_c
+# lambda_min(gram_c), and a row of [B | targets] has squared norm at most
+# 5 * cells * max_c lambda_max(gram_c) (|coef| <= 2); above 5e-20 no row is
+# within _KEEP_TOL of the others' span
+_GRAM_TOL = 1e-8
 
 
 def build_balance_system(
     dataset: Dataset,
     basis: BasisSpec,
     design: FactorialDesign,
-    drop_redundant: bool | str = False,
+    drop_redundant: bool = False,
 ) -> BalanceSystem:
     """Assemble the balance system for the dataset and design.
 
@@ -230,17 +244,14 @@ def build_balance_system(
     same interactions share one basis, so one SVD is taken under
     ``heterogeneous`` and two under ``additive``.
 
-    No ``G`` row is thus redundant. ``drop_redundant`` selects a data
-    stage that removes the rows redundant only on this dataset (jointly in
-    coefficients and targets), e.g. under collinear covariates, so that
-    the curvature matrix used by the variance estimator is invertible:
-    ``"numeric"`` runs it always, ``True`` only on an incomplete design,
-    and ``False`` never.
+    No ``G`` row is thus redundant whatever the data. ``drop_redundant``
+    runs a data stage that removes the rows redundant only on this dataset
+    (jointly in coefficients and targets), e.g. under collinear covariates,
+    so that the variance's curvature matrix is invertible; it filters only
+    when a cell's Gram matrix of H is nearly singular (``_GRAM_TOL``).
     """
-    if drop_redundant not in (False, True, "numeric"):
-        raise ConfigurationError(
-            f"drop_redundant must be False, True or 'numeric', got {drop_redundant!r}"
-        )
+    if drop_redundant not in (False, True):
+        raise ConfigurationError(f"drop_redundant must be True or False, got {drop_redundant!r}")
     if dataset.k != design.k:
         raise ConfigurationError(
             f"dataset has {dataset.k} factors but the design expects {design.k}"
@@ -265,11 +276,9 @@ def build_balance_system(
         elements = [(s, ()) for s in range(s_count)] + [(s_count, J) for J in interactions]
         groups = [(s_count, range(1), k_prime), (1, range(1, k_prime + 1), min(2 * k_prime, k))]
 
-    # priced first: G and the arrays it is made from, and the numeric
-    # filter's compressed rows (about three arrays of them); on an
-    # incomplete design every candidate row counts
+    # priced first: G and its source arrays, and with the data stage about three
+    # arrays of its compressed rows; on an incomplete design every candidate row counts
     cells = design.n_observed_cells
-    numeric = drop_redundant == "numeric" or bool(drop_redundant and not design.complete)
     counts = [
         sum(math.comb(k, a) for a in range(order + 1)) if design.complete
         else sum(math.comb(k, a) for a in orders) * (1 + 2 * len(interactions))
@@ -277,13 +286,13 @@ def build_balance_system(
     ]
     rows = sum(m * count for (m, _, _), count in zip(groups, counts))
     need = 3 * 8 * rows * cells
-    if numeric:
+    if drop_redundant:
         screened = sum(m * min(count, cells) for (m, _, _), count in zip(groups, counts))
         need += 3 * 8 * screened * (cells + 1) * H.shape[1]
     if need > _GATHER_BUDGET:
         raise ConfigurationError(
             f"{rows} balance rows over {cells} cells need about "
-            f"{need / 2**30:.1f} GiB{' with the numeric filter' if numeric else ''}, "
+            f"{need / 2**30:.1f} GiB{' with the data stage' if drop_redundant else ''}, "
             f"above the {_GATHER_BUDGET / 2**30:.0f} GiB budget; lower the interaction "
             "order or the number of basis functions"
         )
@@ -295,18 +304,14 @@ def build_balance_system(
     per_column = [len(span) for (m, _, _), span in zip(groups, spans) for _ in range(m)]
     basis_ids = np.repeat(np.arange(s_count + 1), per_column)
     coef = G.sum(axis=1) / 2 ** (k - 1)
-    if numeric:
-        keep = _numeric_keep(G, basis_ids, coef, unit_cells, H)
-        G, basis_ids, coef = G[keep], basis_ids[keep], coef[keep]
-    return BalanceSystem(
-        G=G,
-        basis_ids=basis_ids,
-        coef=coef,
-        unit_cells=unit_cells,
-        elements=tuple(elements),
-        basis_values=H,
-        design=design,
-    )
+    system = BalanceSystem(G=G, basis_ids=basis_ids, coef=coef, unit_cells=unit_cells,
+                           elements=tuple(elements), basis_values=H, design=design)
+    if drop_redundant:
+        eig = np.linalg.eigvalsh(system.cell_gram)
+        if eig[:, 0].min() <= _GRAM_TOL * eig[:, -1].max():
+            keep = _numeric_keep(system)
+            system = replace(system, G=G[keep], basis_ids=basis_ids[keep], coef=coef[keep])
+    return system
 
 
 @lru_cache(maxsize=64)
@@ -334,16 +339,8 @@ def _candidate_span(design: FactorialDesign, orders: range) -> np.ndarray:
     return vt[sigma > _SPAN_TOL * sigma[0]] * np.sqrt(len(cells))
 
 
-def _numeric_keep(
-    G: np.ndarray,
-    basis_ids: np.ndarray,
-    coef: np.ndarray,
-    unit_cells: np.ndarray,
-    H: np.ndarray,
-) -> list[int]:
-    """Greedy independent subset of the stacked [coefficients | targets]
-    rows of the factored system with these ``BalanceSystem`` fields
-    (``H = basis_values``).
+def _numeric_keep(system: BalanceSystem) -> list[int]:
+    """Greedy independent subset of ``system``'s [coefficients | targets] rows.
 
     Works on compressed rows with the same Gram matrix as ``[B | T]``:
     with ``R_c`` the R factor of H over cell c's units and ``R_H`` that of
@@ -352,12 +349,13 @@ def _numeric_keep(
     Each factor is taken with S zero rows appended, which leave the Gram
     matrix as it is, so it is S x S even for a cell with fewer units.
     """
+    G, basis_ids, unit_cells, H = system.G, system.basis_ids, system.unit_cells, system.basis_values
     order = np.argsort(unit_cells, kind="stable")
     bounds = np.cumsum(np.bincount(unit_cells, minlength=G.shape[1]))
     units = np.split(order, bounds[:-1]) + [slice(None)]  # each cell's, then all
     pad = np.zeros((H.shape[1], H.shape[1]))
     R = np.stack([np.linalg.qr(np.vstack([H[u], pad]), mode="r") for u in units])
-    rows = np.column_stack([G, coef])[:, :, None] * R[:, :, basis_ids].transpose(2, 0, 1)
+    rows = np.column_stack([G, system.coef])[:, :, None] * R[:, :, basis_ids].transpose(2, 0, 1)
     return _greedy_keep(rows.reshape(len(G), -1))
 
 

@@ -89,7 +89,7 @@ class Table:
     Where it fails (text, a quote, a ragged row, an empty cell, ``1_0``,
     a non-ASCII digit), the scanner (``csv.reader``, then ``float``)
     reads the body and words each error by line and column, as it does
-    for a column holding a non-finite value.
+    for a column holding a non-finite value, or a field too long for it.
     """
 
     def __init__(self, path: str):
@@ -101,7 +101,7 @@ class Table:
         except UnicodeDecodeError as exc:
             raise DataError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
         buf = io.StringIO(text, newline="")
-        header = next(csv.reader(buf), None)
+        header = next(self._records(path, buf, 1), None)
         if header is None:
             raise DataError(f"{path} is empty")
         self.path, self.header = path, header
@@ -121,8 +121,16 @@ class Table:
             return None
         return values if values.shape[1] == width else None
 
+    @staticmethod
+    def _records(path: str, buf: io.StringIO, first_line: int):
+        reader = csv.reader(buf)
+        try:
+            yield from reader
+        except csv.Error as exc:
+            raise DataError(f"{path} line {first_line + reader.line_num - 1}: {exc}") from None
+
     def _scan(self) -> list[list[str]]:
-        rows = list(csv.reader(io.StringIO(self._body, newline="")))
+        rows = list(self._records(self.path, io.StringIO(self._body, newline=""), 2))
         if not rows:
             raise DataError(f"{self.path} has a header but no data rows")
         width = len(self.header)
@@ -237,7 +245,7 @@ def cmd_estimate(config: RunConfig) -> int:
     dataset = load_dataset(config)
     design = resolve_design(config, dataset)
     basis = BasisSpec(model_flavor=config.model_flavor)
-    system = build_balance_system(dataset, basis, design, drop_redundant="numeric")
+    system = build_balance_system(dataset, basis, design, drop_redundant=True)
     solution = solve_dual(system, config.solver)
     if solution.status == INFEASIBLE:
         print(

@@ -32,8 +32,7 @@ class VarianceError(FactorbalError):
 
     Usually means the balance system carries rows that are dependent on
     this data, e.g. under collinear basis functions; rebuild it with
-    ``drop_redundant="numeric"``, which removes them (``True`` does so
-    only on an incomplete design).
+    ``drop_redundant=True``, which removes them.
     """
 
 

@@ -150,7 +150,7 @@ def _factor_curvature(A: np.ndarray) -> tuple[np.ndarray, bool]:
         raise VarianceError(
             "curvature matrix is singular (smallest eigenvalue below "
             f"{MIN_CURVATURE_EIGENVALUE:.0e}); rebuild the balance system with "
-            "drop_redundant='numeric', which also removes rows that are "
+            "drop_redundant=True, which also removes rows that are "
             "redundant only on this data"
         ) from None
     factor = sla.cho_factor(A, check_finite=False)

@@ -40,6 +40,8 @@ STALLED = "stalled"
 DIVERGED = "diverged"
 # objective changes this small relative to the objective are roundoff
 ROUNDOFF = 8 * np.finfo(float).eps
+# gradient max-norm per unit at which the solve has converged (GRAD_TOL * N)
+GRAD_TOL = 1e-9
 # ridge added to the Newton Hessian, relative to its mean diagonal
 HESSIAN_RIDGE = 1e-10
 # backtracking line search: step shrink factor and Armijo slope fraction
@@ -52,21 +54,13 @@ DIVERGENCE_NORM = 1e8
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Tuning knobs for the dual ascent.
+    """Tuning knobs for the dual ascent."""
 
-    ``grad_tol`` is the gradient max-norm threshold; when None it defaults
-    to 1e-9 times the number of units, keeping the stopping rule size
-    independent.
-    """
-
-    grad_tol: float | None = None
     max_iters: int = 500
 
     def __post_init__(self):
         if self.max_iters <= 0:
             raise ValueError("max_iters must be positive")
-        if self.grad_tol is not None and self.grad_tol <= 0:
-            raise ValueError("grad_tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -77,7 +71,7 @@ class DualSolution:
     every accepted line-search step (non-decreasing up to roundoff: a step
     whose objective change is within roundoff is accepted when it lowers
     the gradient max-norm). ``stop_reason`` names the rule that ended the
-    iteration: ``gradient`` (max-norm below ``grad_tol``), ``stalled`` (no
+    iteration: ``gradient`` (max-norm below ``GRAD_TOL * N``), ``stalled`` (no
     ascent step at floating precision; the status is ``converged`` if the
     gradient meets ``stall_tolerance(b)``, 1e-8 * (1 + max|b|), and
     ``max_iters`` otherwise), ``diverged`` (multipliers past
@@ -150,7 +144,7 @@ def solve_dual(system: BalanceSystem, options: SolverOptions | None = None) -> D
     opts = options or SolverOptions()
     b = system.b
     p, n = system.p, system.n
-    tol = opts.grad_tol if opts.grad_tol is not None else 1e-9 * n
+    tol = GRAD_TOL * n
 
     lam = np.zeros(p)
     u, neg, w, obj, grad = _eval(lam, system, b)

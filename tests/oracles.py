@@ -188,21 +188,31 @@ def eigh_sandwich(dataset, system: BalanceSystem, weights, lam, effects):
 
 
 def numeric_keep(B: np.ndarray, T: np.ndarray, tol: float = 1e-10) -> list[int]:
-    """Greedy independent subset of the stacked [coefficients | targets] rows."""
+    """Greedy independent subset of the stacked [coefficients | targets]
+    rows: those whose ``keep_residuals`` exceed ``tol``."""
+    return np.flatnonzero(keep_residuals(B, T, tol) > tol).tolist()
+
+
+def keep_residuals(B: np.ndarray, T: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+    """Each stacked [coefficients | targets] row's distance from the span
+    of the rows before it whose own residual exceeded ``tol``, relative to
+    its norm (0 for a zero row), row by row, projected twice off the kept
+    ones (one pass leaves a dependent row up to about 1e-10 of its norm on
+    ill-conditioned kept rows)."""
     rows = np.hstack([B, T])
     basis_vecs: list[np.ndarray] = []
-    keep: list[int] = []
+    resid = np.zeros(len(rows))
     for i in range(rows.shape[0]):
         v = rows[i].copy()
         scale = np.linalg.norm(v)
         if scale == 0:
             continue
-        for q in basis_vecs:
+        for q in basis_vecs * 2:
             v -= (q @ v) * q
-        if np.linalg.norm(v) > tol * scale:
+        resid[i] = np.linalg.norm(v) / scale
+        if resid[i] > tol:
             basis_vecs.append(v / np.linalg.norm(v))
-            keep.append(i)
-    return keep
+    return resid
 
 
 def candidate_system(system: BalanceSystem) -> BalanceSystem:

@@ -1,6 +1,7 @@
 import resource
 import tracemalloc
 from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
+from factorbal import balance
 from factorbal.balance import (
     BasisSpec,
     balance_residuals,
@@ -26,6 +28,7 @@ from factorbal.design import (
     interaction_value,
 )
 from factorbal.errors import ConfigurationError, DataError
+from factorbal.simulation import Scenario, generate
 from factorbal.solver import solve_dual
 from oracles import check_feasibility, column_spans, span_rank, span_residual
 
@@ -224,13 +227,13 @@ class TestBuildSystem:
         with pytest.raises(ConfigurationError, match="at least one basis"):
             BasisSpec().evaluate(np.ones((5, 0)))
 
-    @pytest.mark.parametrize("k, drop", [(15, False), (16, True), (14, "numeric")])
+    @pytest.mark.parametrize("k, drop", [(15, False), (16, True), (14, True)])
     def test_oversized_gather_rejected_before_allocating(self, k, drop):
         # K=15: 5823 rows (the characters of order <= 4 on three columns)
         # x 32768 cells, about 4.3 GiB with the arrays G is made from;
-        # K=16: 7551 x 65536; K=14 "numeric": G passes (4413 rows,
-        # 1.6 GiB), but the numeric filter would compress its rows to
-        # length 49155, about 5 GiB
+        # K=16: 7551 x 65536; K=14 True: G passes (4413 rows, 1.6 GiB),
+        # but the data stage may compress its rows to length 49155,
+        # about 5 GiB, which is priced up front
         ds, design = random_dataset(3, n=300, k=k, d=2), full_design(k, 2)
         tracemalloc.start()
         try:
@@ -245,15 +248,16 @@ class TestBuildSystem:
         # the data stage compresses only the 768 span rows (the characters
         # of order <= 4 on three columns), and none is redundant on this
         # data; filtering the 5994 candidate rows took about 10 s and a
-        # 189 MB traced peak
+        # 189 MB traced peak. Some cells hold fewer units than the three
+        # basis columns, so the Gram certificate fails and the filter runs
         rng = np.random.default_rng(0)
         X = rng.normal(size=(2000, 2))
         Z = np.where(rng.normal(size=(2000, 9)) + 0.3 * X[:, np.arange(9) % 2] > 0, 1, -1)
         ds, design = Dataset(Z, X, np.zeros(2000)), full_design(9, 2)
-        structural = build_balance_system(ds, BasisSpec(), design, drop_redundant=True)
+        structural = build_balance_system(ds, BasisSpec(), design, drop_redundant=False)
         tracemalloc.start()
         try:
-            numeric = build_balance_system(ds, BasisSpec(), design, drop_redundant="numeric")
+            numeric = build_balance_system(ds, BasisSpec(), design, drop_redundant=True)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -262,11 +266,35 @@ class TestBuildSystem:
         assert np.array_equal(numeric.basis_ids, structural.basis_ids)
         assert peak < 2**26
 
+    @pytest.mark.parametrize("collinear", [False, True])
+    def test_gram_certificate_decides_the_filter(self, collinear):
+        # a five-factor draw: every cell's Gram matrix of H is well
+        # conditioned, so True returns the unfiltered system without
+        # running the filter, and its cached Gram is bitwise the one the
+        # solver's all-active first step would form; with X3 = X1 - X2
+        # every cell's is singular, and the filter drops column 2's rows
+        ds, _ = generate(Scenario("five_factor", 2000, "Y2", seed=0), 0)
+        if collinear:
+            X = ds.X[:, :3].copy()
+            X[:, 2] = X[:, 0] - X[:, 1]
+            ds = Dataset(ds.Z, X, ds.Y)
+        design = full_design(5, 2)
+        full = build_balance_system(ds, BasisSpec(), design)
+        with mock.patch.object(balance, "_numeric_keep", wraps=balance._numeric_keep) as spy:
+            system = build_balance_system(ds, BasisSpec(), design, drop_redundant=True)
+        assert spy.called == collinear
+        assert (2 in system.basis_ids) != collinear
+        if not collinear:
+            assert np.array_equal(system.G, full.G) and np.array_equal(system.coef, full.coef)
+            mask = np.ones(system.n, dtype=bool)
+            masked = system._cell_sums(system.basis_values * mask.astype(float)[:, None])
+            assert np.array_equal(system.cell_gram, masked)
+
     def test_flavor_validation(self):
         with pytest.raises(ConfigurationError):
             BasisSpec(model_flavor="quadratic")
 
-    @pytest.mark.parametrize("mode", ["Numeric", "structural", None, 2])
+    @pytest.mark.parametrize("mode", ["numeric", "Numeric", "structural", None, 2])
     def test_drop_redundant_validation(self, mode):
         ds = random_dataset(0)
         with pytest.raises(ConfigurationError, match="drop_redundant"):

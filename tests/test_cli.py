@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from factorbal import cli
+from factorbal import cli, solver
 from factorbal.cli import (
     EXIT_DATA,
     EXIT_IDENTIFICATION,
@@ -14,7 +14,6 @@ from factorbal.cli import (
     main,
 )
 from factorbal.design import enumerate_combinations
-from factorbal.solver import SolverOptions
 from test_balance import address_space_cap
 from test_incomplete import incomplete_draw
 
@@ -243,6 +242,25 @@ class TestEstimate:
             f"error: {data} is not UTF-8 text: invalid start byte at byte {offset}\n"
         )
 
+    @pytest.mark.parametrize("where", ["header", "body"])
+    def test_field_past_the_csv_limit_reports_line(self, tmp_path, capsys, where):
+        # a column name, or a cell next to a text column (so the scanner
+        # reads the body), longer than csv.field_size_limit()
+        long = "1" * (csv.field_size_limit() + 10_000)
+        data = tmp_path / "data.csv"
+        rows = [["a", 1, -1, 0.5, 1.0], ["b", -1, 1, long, 2.0], ["c", 1, 1, 0.3, 0.5]]
+        header = ["id", "t1", "t2", long if where == "header" else "x1", "y"]
+        write_csv(data, header, rows)
+        args = ["estimate", "--data", str(data), "--factors", "t1,t2", "--covariates", "x1",
+                "--outcome", "y", "--out", str(tmp_path / "x")]
+        assert main(args) == EXIT_DATA
+        line = 1 if where == "header" else 3
+        assert capsys.readouterr().err == (
+            f"error: {data} line {line}: field larger than field limit "
+            f"({csv.field_size_limit()})\n"
+        )
+        assert not list(tmp_path.glob("x_*"))
+
     @pytest.mark.parametrize("column, cell", [("x1", "nan"), ("y", "-inf")])
     def test_nonfinite_value_reports_line_and_column(self, tmp_path, capsys, column, cell):
         data = tmp_path / "bad.csv"
@@ -266,7 +284,7 @@ class TestEstimate:
 
     def test_oversized_numeric_filter_is_usage_error(self, tmp_path, capsys):
         # 14 factors of order 2, two covariates: G (1.6 GiB) fits the
-        # budget, the numeric filter's compressed rows (about 5 GiB) do not
+        # budget, the data stage's compressed rows (about 5 GiB) do not
         rng = np.random.default_rng(0)
         n, k = 300, 14
         header = [f"t{j}" for j in range(1, k + 1)] + ["x1", "x2", "y"]
@@ -304,9 +322,10 @@ class TestEstimate:
         lines = (tmp_path / "cfg_effects.csv").read_text().strip().splitlines()
         assert len(lines) == 5  # header + 4 main effects
 
-    def test_stalled_solve_exits_zero_with_one_note(self, tmp_path, capsys):
-        # a 1e-30 gradient tolerance is out of reach, so the line search
-        # stalls and the solve converges at the stall tolerance
+    def test_stalled_solve_exits_zero_with_one_note(self, tmp_path, capsys, monkeypatch):
+        # a 1e-30-per-unit gradient tolerance is out of reach, so the line
+        # search stalls and the solve converges at the stall tolerance
+        monkeypatch.setattr(solver, "GRAD_TOL", 1e-30)
         data = tmp_path / "data.csv"
         make_survey_like(data, n=1200, seed=8)
         config = cli.RunConfig(
@@ -316,7 +335,6 @@ class TestEstimate:
             outcome_column="y",
             max_order=1,
             out_prefix=str(tmp_path / "stall"),
-            solver=SolverOptions(grad_tol=1e-30),
         )
         assert cli.cmd_estimate(config) == EXIT_OK
         err = capsys.readouterr().err.strip().splitlines()

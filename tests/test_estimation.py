@@ -88,7 +88,7 @@ class TestEstimateEffect:
         ds = Dataset(Z, np.zeros((4, 1)), Z[:, 0].astype(float))
         design = full_design(2, 1)
         spec = BasisSpec(covariate_bases=[lambda x: np.ones(x.shape[0])])
-        system = build_balance_system(ds, spec, design, drop_redundant="numeric")
+        system = build_balance_system(ds, spec, design, drop_redundant=True)
         sol = solve_dual(system)
         w = np.full(4, 2.0)
         assert estimate(ds, system, sol, Effect((1,)), w).tau_hat == pytest.approx(2.0)
@@ -207,9 +207,7 @@ class TestVariance:
         Z = np.vstack([enumerate_combinations(2)] * 3)
         ds = Dataset(Z, np.full((12, 1), 0.5), np.full(12, 3.0))
         design = full_design(2, 1)
-        system = build_balance_system(
-            ds, BasisSpec(), design, drop_redundant="numeric"
-        )
+        system = build_balance_system(ds, BasisSpec(), design, drop_redundant=True)
         sol = solve_dual(system)
         assert sol.converged
         s2 = estimate(ds, system, sol, Effect((1,))).sigma2_hat
@@ -276,21 +274,20 @@ class TestVariance:
             estimate(ds, redundant, sol2, Effect((1,)))
 
     def test_singular_curvature_advice_gives_finite_variances(self):
-        # X3 = X1 - X2: on a complete design True runs no data stage, so
-        # the rows redundant only on this data stay until the advised
-        # "numeric" build removes them
+        # X3 = X1 - X2: without the data stage the rows redundant only on
+        # this data stay until the advised True build removes them
         ds, _ = generate(Scenario("three_factor", 600, "Y1", seed=0), 0)
         X = ds.X[:, :3].copy()
         X[:, 2] = X[:, 0] - X[:, 1]
         ds = Dataset(ds.Z, X, ds.Y)
         design, effects = full_design(3, 1), effect_index_set(3, 1)
-        system = build_balance_system(ds, BasisSpec(), design, drop_redundant=True)
+        system = build_balance_system(ds, BasisSpec(), design, drop_redundant=False)
         sol = solve_dual(system)
         assert sol.converged
-        with pytest.raises(VarianceError, match="drop_redundant='numeric'") as info:
+        with pytest.raises(VarianceError, match="drop_redundant=True") as info:
             weighted_estimates(ds, system, sol.weights, sol.lam, effects)
-        assert "drop_redundant=True" not in str(info.value)
-        slim = build_balance_system(ds, BasisSpec(), design, drop_redundant="numeric")
+        assert "numeric" not in str(info.value)
+        slim = build_balance_system(ds, BasisSpec(), design, drop_redundant=True)
         assert slim.p < system.p
         sol = solve_dual(slim)
         assert sol.converged
@@ -342,7 +339,7 @@ class TestVariance:
     def test_curvature_singular_threshold(self, scale, singular):
         A = self.spd(scale * MIN_CURVATURE_EIGENVALUE, 1.0)
         if singular:
-            with pytest.raises(VarianceError, match="drop_redundant='numeric'"):
+            with pytest.raises(VarianceError, match="drop_redundant=True"):
                 _factor_curvature(A)
         else:
             c, lower = _factor_curvature(A)

@@ -8,12 +8,14 @@ span of the paper's candidate rows, ``oracles.candidate_system``.
 """
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from factorbal import balance
 from factorbal.balance import (
     _KEEP_TOL,
     _SCREEN_BLOCK,
@@ -30,10 +32,18 @@ from factorbal.design import (
     full_design,
     interaction_value,
 )
+from factorbal.errors import IdentificationError
 from factorbal.estimation import weighted_estimates
 from factorbal.simulation import Scenario, generate
 from factorbal.solver import solve_dual
-from oracles import DenseOperator, column_spans, numeric_keep, span_rank, span_residual
+from oracles import (
+    DenseOperator,
+    column_spans,
+    keep_residuals,
+    numeric_keep,
+    span_rank,
+    span_residual,
+)
 
 RTOL = 1e-12
 FIVE_REMOVED = [(1, 1, 1, 1, 1), (1, 1, 1, -1, -1)]
@@ -76,7 +86,7 @@ def case(name):
         ds = with_covariates(
             three_factor(15), lambda X: np.column_stack([X[:, 0], X[:, 1], X[:, 0] - X[:, 1]])
         )
-        system = build_balance_system(ds, BasisSpec(), full_design(3, 2), drop_redundant="numeric")
+        system = build_balance_system(ds, BasisSpec(), full_design(3, 2), drop_redundant=True)
         assert 2 not in system.basis_ids
         return ds, system
     if name == "additive":
@@ -246,12 +256,65 @@ def test_compressed_filter_keeps_dense_rows(draw):
     spec = FILTER_SPECS.get(draw, BasisSpec())
     full = build_balance_system(ds, spec, design)
     keep = numeric_keep(full.B, full.unit_targets)
-    assert _numeric_keep(full.G, full.basis_ids, full.coef, full.unit_cells, full.basis_values) == keep
+    assert _numeric_keep(full) == keep
     assert 0 < len(keep) <= full.p
     assert (len(keep) < full.p) == (draw in DATA_REDUNDANT)
-    slim = build_balance_system(ds, spec, design, drop_redundant="numeric")
+    slim = build_balance_system(ds, spec, design, drop_redundant=True)
     assert np.array_equal(slim.G, full.G[keep]) and np.array_equal(slim.coef, full.coef[keep])
     assert np.array_equal(slim.basis_ids, full.basis_ids[keep])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    k=st.integers(3, 5),
+    complete=st.booleans(),
+    s_count=st.integers(1, 4),
+    extra=st.sampled_from([None, "duplicated", "constant"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_data_stage_keeps_oracle_rows(k, complete, s_count, extra, seed):
+    # small designs whose cells hold 0 to S + 2 units (at least a drawn
+    # number of them), optionally with a duplicated or constant covariate.
+    # Every row lies within 100 times the tolerance of the span True keeps
+    # (the largest seen in 5000 draws was 1.1 times); True keeps the
+    # oracle's rows wherever no row's residual lies between 1e-13 and 1e-6
+    # (there rounding decides, and the compressed and dense rows disagree
+    # on about 1 draw in 250); the Gram certificate skips the filter only
+    # where the oracle keeps all
+    rng = np.random.default_rng(seed)
+    if complete:
+        design = full_design(k, 2)
+    else:
+        cells = enumerate_combinations(k)
+        unobserved = cells[rng.choice(len(cells), 1 if k == 3 else 2, replace=False)]
+        try:
+            design = build_incomplete_design(k, 2, unobserved)
+        except IdentificationError:
+            assume(False)
+    fewest = rng.integers(0, s_count + 3)
+    Z = np.repeat(design.observed, rng.integers(fewest, s_count + 3, len(design.observed)), axis=0)
+    assume(len(Z) > 0)
+    X = rng.normal(size=(len(Z), s_count))
+    if extra == "duplicated":
+        X = np.column_stack([X, X[:, 0]])
+    elif extra == "constant":
+        X = np.column_stack([X, np.full(len(Z), 1.5)])
+    ds = Dataset(Z, X, rng.normal(size=len(Z)))
+    full = build_balance_system(ds, BasisSpec(), design)
+    resid = keep_residuals(full.B, full.unit_targets)
+    keep = numeric_keep(full.B, full.unit_targets)
+    with mock.patch.object(balance, "_numeric_keep", wraps=balance._numeric_keep) as spy:
+        kept = build_balance_system(ds, BasisSpec(), design, drop_redundant=True)
+    rows = np.hstack([full.B, full.unit_targets])
+    q, _ = np.linalg.qr(np.hstack([kept.B, kept.unit_targets]).T)
+    off = rows - (rows @ q) @ q.T
+    off -= (off @ q) @ q.T
+    assert np.all(np.linalg.norm(off, axis=1) <= 100 * _KEEP_TOL * np.linalg.norm(rows, axis=1))
+    if not np.any((resid > 1e-13) & (resid < 1e-6)):
+        assert np.array_equal(kept.G, full.G[keep])
+        assert np.array_equal(kept.basis_ids, full.basis_ids[keep])
+    if not spy.called:
+        assert keep == list(range(full.p))
 
 
 def test_greedy_keep_finds_rows_after_long_dependent_runs():
@@ -371,7 +434,8 @@ STRUCTURAL_SHAPES = {
 @pytest.mark.parametrize("k", list(STRUCTURAL_SHAPES))
 def test_structural_filter_keeps_oracle_rows(k, flavor):
     # on a complete design every column's rows are characters spanning its
-    # candidate rows, so True (no data stage there) builds the same system
+    # candidate rows; with one unit per cell no cell's Gram matrix is
+    # invertible, so True runs the data stage and keeps the oracle's rows
     combos = enumerate_combinations(k)
     rng = np.random.default_rng(k)
     for k_prime, s_count in STRUCTURAL_SHAPES[k]:
@@ -379,7 +443,9 @@ def test_structural_filter_keeps_oracle_rows(k, flavor):
         spec, design = BasisSpec(model_flavor=flavor), full_design(k, k_prime)
         full = build_balance_system(ds, spec, design)
         kept = build_balance_system(ds, spec, design, drop_redundant=True)
-        assert np.array_equal(kept.G, full.G) and np.array_equal(kept.basis_ids, full.basis_ids)
+        keep = numeric_keep(full.B, full.unit_targets)
+        assert np.array_equal(kept.G, full.G[keep])
+        assert np.array_equal(kept.basis_ids, full.basis_ids[keep])
         assert_same_span(full)
 
 
