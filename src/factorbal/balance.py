@@ -141,6 +141,27 @@ class BalanceSystem:
         sums = self._lift_t @ v
         return sums.reshape(self.G.shape[1], self.basis_values.shape[1], *v.shape[1:])
 
+    def cell_outer(self, x: np.ndarray, ys: list[np.ndarray],
+                   units: slice | np.ndarray = slice(None)) -> list[np.ndarray]:
+        """For each ``y`` in ``ys``, the per-cell sums of ``x[j] * y[j]'``
+        over the units ``units`` (a slice of consecutive units or an index
+        array), ``x`` holding S values and each ``y`` one row per unit:
+        cells x S for a vector ``y``, cells x S x m for an m-column one.
+        ``x = H[units]`` gives the per-cell sums of ``y[j] * H[units[j], s]``.
+        The terms are added unit by unit in the order of ``units``, through
+        one sparse matrix of ``x``'s values, and no array larger than ``x``
+        and ``y`` is formed."""
+        lift = self._lift
+        if isinstance(units, slice):
+            # every lift row holds S entries, so a block of rows is a view
+            start, stop, _ = units.indices(self.n)
+            indices = lift.indices[start * x.shape[1] : stop * x.shape[1]]
+        else:
+            indices = lift.indices.reshape(self.n, -1).take(units, axis=0).ravel()
+        part_t = sparse.csc_matrix((x.ravel(), indices, lift.indptr[: len(x) + 1]),
+                                   shape=(lift.shape[1], len(x)))
+        return [(part_t @ y).reshape(self.G.shape[1], x.shape[1], *y.shape[1:]) for y in ys]
+
     def cell_parts(self, v: np.ndarray) -> np.ndarray:
         """``B @ v`` split by observed cell: entry (r, c) sums row r's terms
         over cell c's units, so the row sums are ``B @ v``."""
@@ -150,11 +171,17 @@ class BalanceSystem:
         """``B @ w``."""
         return self.cell_parts(w).sum(axis=1)
 
+    def cell_multipliers(self, lam: np.ndarray) -> np.ndarray:
+        """Per-cell sums of ``G`` times the multipliers, by basis column:
+        entry (c, s) sums ``G[r, c] * lam[r]`` over the rows r on column s,
+        so that ``(B.T @ lam)[i]`` is ``H[i] @ entry[unit_cells[i]]``;
+        cells x S, or cells x S x E for a P x E ``lam``."""
+        return np.stack([self.G[rows].T @ lam[rows] for rows in self._by_basis], axis=1)
+
     def rmatvec(self, lam: np.ndarray, units: slice = slice(None)) -> np.ndarray:
         """``B.T @ lam``, or its rows ``units`` (a slice of consecutive
         units); a P x E ``lam`` gives the N x E products."""
-        # per-cell sums of G times the multipliers, cells x S (x E), by basis column
-        sums = np.stack([self.G[rows].T @ lam[rows] for rows in self._by_basis], axis=1)
+        sums = self.cell_multipliers(lam)
         lift = self._lift
         if units != slice(None):
             # every lift row holds S entries, so a block of rows is a view
@@ -171,14 +198,45 @@ class BalanceSystem:
         """H's Gram matrix over each observed cell's units (cells x S x S)."""
         return self._cell_sums(self.basis_values)
 
+    @cached_property
+    def _last_gram(self) -> list:
+        """The last mask ``active_gram`` took and its per-cell Gram of H;
+        at first every unit and ``cell_gram``."""
+        return [np.ones(self.n, dtype=bool), self.cell_gram]
+
     def active_gram(self, mask: np.ndarray) -> np.ndarray:
         """``B[:, mask] @ B[:, mask].T`` (P x P): entry (r, t) sums
         ``G[r, c] G[t, c] gram_c[s_r, s_t]`` over cells c, with ``gram_c``
         H's Gram matrix over c's masked units (cells x S x S); one matmul
         per basis column.
+
+        The system remembers the last mask and its ``gram_c`` (at first
+        every unit, with ``cell_gram``). A new mask's ``gram_c`` is
+        ``cell_gram`` if it masks every unit, and otherwise either the
+        remembered one plus the signed sum of ``H[i] H[i]'`` over the units
+        that changed side since the last call, or the plain masked sum over
+        all N units. The update is taken when it touches at least
+        ``_GRAM_UPDATE_MIN`` fewer units than there are masked units: a
+        Newton step moves few units, so on a large sample most calls touch
+        a small fraction of them, while on a small one the plain sum costs
+        no more. The result thus depends on earlier calls through rounding
+        only, and is deterministic for a given sequence of calls.
         """
-        gram = (self.cell_gram if mask.all()
-                else self._cell_sums(self.basis_values * mask.astype(float)[:, None]))
+        mask = np.asarray(mask, dtype=bool)
+        last, gram = self._last_gram
+        active = np.count_nonzero(mask)
+        if active == self.n:
+            gram = self.cell_gram
+        else:
+            # an update saves enough units only if as many are masked
+            changed = np.flatnonzero(mask != last) if active >= _GRAM_UPDATE_MIN else []
+            if active - len(changed) < _GRAM_UPDATE_MIN:
+                gram = self._cell_sums(self.basis_values * mask.astype(float)[:, None])
+            elif len(changed):
+                h = self.basis_values.take(changed, axis=0)
+                moves = np.where(mask[changed], 1.0, -1.0)[:, None]
+                gram = gram + self.cell_outer(h * moves, [h], changed)[0]
+        self._last_gram[:] = mask.copy(), gram
         out = np.empty((self.p, self.p))
         for s, rows in enumerate(self._by_basis):
             out[rows] = self.G[rows] @ (gram[:, s, self.basis_ids] * self.G.T)
@@ -207,6 +265,12 @@ class BalanceSystem:
         return self.element_columns().T
 
 
+# ``BalanceSystem.active_gram`` updates its remembered Gram only when the
+# units that changed side are at least this many fewer than the masked
+# ones. Below that the plain masked sum costs about as much, and it keeps
+# a small fit's arithmetic as it was: the update rounds differently, which
+# can shift a diverging solve's iteration count by one
+_GRAM_UPDATE_MIN = 2**13
 # bytes the row build in ``build_balance_system`` and its data stage
 # may allocate; a K=14 complete design of order 2 with two covariates
 # needs 1.6 GiB

@@ -5,8 +5,11 @@ mass on the positive and negative sides of the effect's (possibly
 effective) contrast. Its asymptotic variance is estimated from the
 stacked estimating equation of the dual multipliers and the effect,
 plugging the fitted multipliers into the sandwich form; only the last
-coordinate of the sandwich is needed, which reduces to a single weighted
-sum of squares. All requested effects are estimated together, from one
+coordinate of the sandwich is needed, the mean square of the per-unit
+residuals. Each residual is a unit's features, [w h, h, w Y], times a
+vector that depends only on the unit's cell and the effect, so the mean
+square is a quadratic form in each cell's second moments of those
+features. All requested effects are estimated together, from one
 contrast matrix and one factorization of the curvature.
 """
 
@@ -32,8 +35,9 @@ MAX_CURVATURE_CONDITION = 1e10
 # power iterations for the largest curvature eigenvalue, and inverse
 # iterations for the smallest, in the condition-number estimate
 CONDITION_ITERS = 8
-# bytes of each effects x units block of the per-unit terms in
-# ``weighted_estimates``; one block when they all fit
+# bytes of each block of per-unit terms in ``weighted_estimates``: effects
+# x units for the point estimates, units x S for the variance's moments;
+# one block when they all fit
 _ESTIMATE_BLOCK = 2**20
 
 
@@ -61,11 +65,17 @@ def weighted_estimates(
 
     The point estimate of effect e is the mean of ``c_e * w * Y`` over
     units, where ``c_e`` is the effect's (effective) contrast coefficient.
-    Its variance contracts the per-unit estimating-equation residuals
-    (dual gradient contributions stacked with the centered effect
-    contribution) with the last row of the inverted curvature matrix; the
-    curvature is factorized once and solved for every effect together.
-    Raises ``VarianceError`` when that matrix is numerically singular (its
+    Its variance is the mean square of the per-unit estimating-equation
+    residuals (dual gradient contributions contracted with the last row of
+    the inverted curvature matrix, minus the centered effect contribution);
+    the curvature is factorized once and solved for every effect together.
+    A unit's residual is its features ``f_i = [w_i h_i, h_i, w_i Y_i]``,
+    with ``h_i`` its basis values, times a vector ``a_ce`` of its cell c,
+    so the variance is ``(1/N) sum_c a_ce' F_c a_ce`` with ``F_c`` the sum
+    of ``f_i f_i'`` over c's units; no units x effects array is formed.
+    ``Y`` is centered per cell in that form, so that an outcome far from
+    zero does not cancel in those sums. Raises
+    ``VarianceError`` when the curvature is numerically singular (its
     smallest eigenvalue below ``MIN_CURVATURE_EIGENVALUE``), which
     typically means the system retains linearly dependent rows.
     """
@@ -92,21 +102,47 @@ def weighted_estimates(
     R = 0.5 / n * (system.cell_parts(dataset.Y * active) @ cell_contrasts.T)  # P x E
     L = sla.cho_solve(factor, R, check_finite=False)
 
-    # per unit: l_e'(B_i w_i - b_i) minus the centered effect contribution,
-    # built in place over blocks of units without forming the P x N
-    # residuals B_i w_i - b_i; l_e'b_i is sum_r l_er coef_r H[i, s_r],
-    # grouped by basis column
-    K = np.zeros((system.basis_values.shape[1], len(effects)))
+    # per unit i in cell c, the estimating-equation residual
+    # l_e'(B_i w_i - b_i) - (c_ec w_i Y_i - tau_e) is f_i'a_ce with
+    # f_i = [w_i h_i, h_i, w_i (Y_i - Ybar_c)], h_i = H[i] (its last entry the
+    # constant 1, so Ybar_c w_i moves into a_ce) and a_ce = [M[c, :, e] with
+    # -c_ec Ybar_c on the constant, tau_e on the constant minus K[:, e], -c_ec]:
+    # l_e'B_i = h_i'M[c, :, e] with M = cell_multipliers(L), and l_e'b_i =
+    # h_i'K[:, e] with K[s, e] the sum of coef_r L[r, e] over the rows on
+    # column s. So sigma2_e is (1/N) sum_c a_ce'F_c a_ce, with F_c the sum of
+    # f_i f_i' over c's units. Centering Y per cell keeps an outcome far from
+    # zero from cancelling in those sums
+    H = system.basis_values
+    cells, s_count = cell_contrasts.shape[1], H.shape[1]
+    counts = np.bincount(system.unit_cells, minlength=cells)
+    ybar = np.bincount(system.unit_cells, dataset.Y, minlength=cells) / np.maximum(counts, 1)
+    K = np.zeros((s_count, len(effects)))
     np.add.at(K, system.basis_ids, system.coef[:, None] * L)
-    sigma2 = np.zeros(len(effects))
-    for units in _blocks(n, len(effects)):
-        contrib = system.rmatvec(L, units)
-        contrib *= w[units, None]
-        contrib -= system.basis_values[units] @ K
-        contrib -= (np.take(cell_contrasts, system.unit_cells[units], axis=1) * wy[units]).T
-        contrib += tau
-        sigma2 += np.einsum("ie,ie->e", contrib, contrib)
-    sigma2 /= n
+    K[-1] -= tau
+    a = np.concatenate([
+        system.cell_multipliers(L),
+        np.broadcast_to(-K, (cells, *K.shape)),
+        -cell_contrasts.T[:, None],
+    ], axis=1)
+    a[:, s_count - 1] -= cell_contrasts.T * ybar[:, None]
+    centered = dataset.Y - ybar[system.unit_cells]
+    wyc = w * centered
+    h, y = slice(s_count, 2 * s_count), 2 * s_count
+    F = np.zeros((cells, y + 1, y + 1))
+    for units in _blocks(n, s_count):
+        # the w h rows, and the h rows' last entry as sums of w h (Y - Ybar)
+        wh = H[units] * w[units, None]
+        sums = system.cell_outer(wh, [wh, H[units], wyc[units], centered[units]], units)
+        F[:, :s_count, :s_count] += sums[0]
+        F[:, :s_count, h] += sums[1]
+        F[:, :s_count, y] += sums[2]
+        F[:, h, y] += sums[3]
+    F[:, h, :s_count] = F[:, :s_count, h].transpose(0, 2, 1)
+    F[:, h, h] = system.cell_gram
+    F[:, y, :y] = F[:, :y, y]
+    F[:, y, y] = np.bincount(system.unit_cells, wyc * wyc, minlength=cells)
+    # a sum of squares, so only rounding can make it negative
+    sigma2 = np.maximum(np.sum(a * (F @ a), axis=(0, 1)) / n, 0.0)
 
     out = []
     for e, t, s2 in zip(effects, tau, sigma2):

@@ -11,7 +11,9 @@ basis column's rows with its candidate rows, and ``span_residual`` and
 ``span_rank`` measure how far rows lie from the span of others and the
 dimension of their own.
 ``eigh_sandwich`` is the sandwich variance from the dense views and a
-full eigendecomposition of the curvature.
+full eigendecomposition of the curvature; ``sandwich_sigma2`` is the
+same variance as the mean square of the per-unit residuals, formed over
+blocks of units.
 ``incomplete_design_oracle`` builds an incomplete design's effective
 contrasts from the full 2^K x 2^K contrast matrix and a pseudoinverse.
 """
@@ -19,6 +21,7 @@ contrasts from the full 2^K x 2^K contrast matrix and a pseudoinverse.
 from dataclasses import replace
 
 import numpy as np
+from scipy import linalg as sla
 from scipy import sparse
 from scipy.optimize import linprog
 
@@ -185,6 +188,42 @@ def eigh_sandwich(dataset, system: BalanceSystem, weights, lam, effects):
     S = C * weights * dataset.Y
     contrib = (B * weights - T).T @ L - (S - S.mean(axis=1, keepdims=True)).T
     return np.mean(contrib**2, axis=0), evals[0], evals[-1] / evals[0]
+
+
+def sandwich_sigma2(dataset, system: BalanceSystem, weights, lam, effects, block=2**20):
+    """Sandwich variances of ``effects`` (length E) as the mean square over
+    units of the stacked estimating-equation residuals
+    ``l_e'(B_i w_i - b_i) - (c_ei w_i Y_i - tau_e)``, each unit's terms
+    formed on its own, over blocks of units whose effects x units arrays
+    take at most ``block`` bytes; ``l_e = A^{-1} r_e`` with the curvature
+    ``A = B_act B_act' / 2N`` and ``r_e = B_act (c_e Y)_act / 2N`` from
+    the dense active columns. ``l_e'b_i`` is ``sum_r l_er coef_r H[i, s_r]``,
+    grouped by basis column."""
+    n = system.n
+    w = np.asarray(weights, dtype=float)
+    wy = w * dataset.Y
+    design = system.design
+    cell_contrasts = design.contrasts(design.observed, effects)  # E x cells
+    C = cell_contrasts[:, system.unit_cells]  # E x N
+    tau = np.mean(C * wy, axis=1)
+    B = system.B
+    active = B.T @ lam < 0
+    A = B[:, active] @ B[:, active].T * 0.5 / n
+    R = B[:, active] @ (C * dataset.Y)[:, active].T * 0.5 / n
+    L = sla.cho_solve(sla.cho_factor(A), R)
+    K = np.zeros((system.basis_values.shape[1], len(effects)))
+    np.add.at(K, system.basis_ids, system.coef[:, None] * L)
+    step = max(1, block // (8 * len(effects)))
+    sigma2 = np.zeros(len(effects))
+    for start in range(0, n, step):
+        units = slice(start, min(start + step, n))
+        contrib = system.rmatvec(L, units)
+        contrib *= w[units, None]
+        contrib -= system.basis_values[units] @ K
+        contrib -= (C[:, units] * wy[units]).T
+        contrib += tau
+        sigma2 += np.einsum("ie,ie->e", contrib, contrib)
+    return sigma2 / n
 
 
 def numeric_keep(B: np.ndarray, T: np.ndarray, tol: float = 1e-10) -> list[int]:

@@ -32,7 +32,7 @@ from factorbal.estimation import (
 )
 from factorbal.simulation import Scenario, generate
 from factorbal.solver import solve_dual
-from oracles import eigh_sandwich
+from oracles import eigh_sandwich, sandwich_sigma2
 
 
 def converged_fit(seed=0, n=400, flavor="heterogeneous", outcome="Y1"):
@@ -328,6 +328,57 @@ class TestVariance:
             ests = weighted_estimates(ds, system, sol.weights, sol.lam, effects)
         got = np.array([est.sigma2_hat for est in ests])
         np.testing.assert_allclose(got, sigma2, rtol=1e-9, atol=0)
+
+    @pytest.mark.parametrize(
+        "draw",
+        ["three", "incomplete", "additive", "five-blocks", "unweighted-cell", "shifted-outcome"],
+    )
+    def test_matches_per_unit_oracle(self, draw, monkeypatch):
+        # sigma2 from per-cell moments against the mean square of each
+        # unit's own residuals; an outcome shifted by 1e4 (the weights do
+        # not depend on it) cancels in the moments unless Y is centered
+        if draw == "incomplete":
+            ds, design, system, sol = incomplete_fit(seed=5)
+        elif draw == "additive":
+            ds, design, system, sol = converged_fit(seed=5, flavor="additive")
+        elif draw == "five-blocks":
+            ds, design, system, sol = five_factor_fit(seed=4)
+            monkeypatch.setattr(estimation, "_ESTIMATE_BLOCK", 2**16)
+            assert ds.n // (2**16 // (8 * system.basis_values.shape[1])) >= 10  # blocks
+        else:
+            ds, design, system, sol = converged_fit(seed=5)
+        w = sol.weights
+        if draw == "unweighted-cell":
+            # an observed cell whose units carry no weight
+            w = np.where(system.unit_cells == 3, 0.0, w)
+            assert np.any(system.unit_cells == 3)
+        if draw == "shifted-outcome":
+            ds = Dataset(ds.Z, ds.X, ds.Y + 1e4)
+        effects = [e for e in design.effects if e.order > 0]
+        ests = weighted_estimates(ds, system, w, sol.lam, effects)
+        want = sandwich_sigma2(ds, system, w, sol.lam, effects)
+        np.testing.assert_allclose([e.sigma2_hat for e in ests], want, rtol=1e-10, atol=0)
+
+    @pytest.mark.parametrize("fit", [converged_fit, incomplete_fit])
+    def test_permuting_units_permutes_the_fit(self, fit):
+        # the per-cell sums of the Gram update and of the variance's
+        # moments add the units in their order; the fit must not depend on it
+        ds, design, system, sol = fit(seed=7)
+        perm = np.random.default_rng(7).permutation(ds.n)
+        moved = Dataset(ds.Z[perm], ds.X[perm], ds.Y[perm])
+        moved_system = build_balance_system(moved, BasisSpec(), design, drop_redundant=True)
+        moved_sol = solve_dual(moved_system)
+        assert moved_sol.converged
+        assert np.max(np.abs(moved_sol.weights - sol.weights[perm])) <= 1e-10
+        effects = [e for e in design.effects if e.order > 0]
+        ests = weighted_estimates(ds, system, sol.weights, sol.lam, effects)
+        moved_ests = weighted_estimates(
+            moved, moved_system, moved_sol.weights, moved_sol.lam, effects
+        )
+        scale = 1 + np.mean(np.abs(sol.weights * ds.Y))
+        for est, moved_est in zip(ests, moved_ests):
+            assert abs(moved_est.tau_hat - est.tau_hat) <= 1e-10 * scale
+            assert moved_est.sigma2_hat == pytest.approx(est.sigma2_hat, rel=1e-9)
 
     @staticmethod
     def spd(lam_min, lam_max, p=40):

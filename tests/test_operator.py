@@ -7,6 +7,7 @@ system's dense views in ``oracles.DenseOperator`` and
 span of the paper's candidate rows, ``oracles.candidate_system``.
 """
 
+import dataclasses
 import tracemalloc
 from unittest import mock
 
@@ -315,6 +316,76 @@ def test_data_stage_keeps_oracle_rows(k, complete, s_count, extra, seed):
         assert np.array_equal(kept.basis_ids, full.basis_ids[keep])
     if not spy.called:
         assert keep == list(range(full.p))
+
+
+MASK_STEPS = ["random", "all", "none", "flip", "complement", "few"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    k=st.integers(3, 5),
+    complete=st.booleans(),
+    steps=st.lists(st.sampled_from(MASK_STEPS), min_size=1, max_size=12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_active_gram_memo_matches_dense(k, complete, steps, seed):
+    # active_gram updates its remembered Gram by the units that changed
+    # side, or sums the masked units afresh, whichever touches fewer units
+    # (these samples are too small for the update otherwise): along any walk
+    # of masks each result is the dense B_act B_act', and a solve that
+    # starts from a walked memo ends as one from a fresh system does (its
+    # first step masks every unit, which takes cell_gram)
+    rng = np.random.default_rng(seed)
+    if complete:
+        design = full_design(k, 2)
+    else:
+        cells = enumerate_combinations(k)
+        unobserved = cells[rng.choice(len(cells), 1 if k == 3 else 2, replace=False)]
+        try:
+            design = build_incomplete_design(k, 2, unobserved)
+        except IdentificationError:
+            assume(False)
+    Z = np.repeat(design.observed, rng.integers(12, 30, len(design.observed)), axis=0)
+    X = rng.normal(size=(len(Z), 2))
+    ds = Dataset(Z, X, rng.normal(size=len(Z)))
+    system = build_balance_system(ds, BasisSpec(), design, drop_redundant=True)
+    dense = DenseOperator(system)
+    mask = np.ones(system.n, dtype=bool)
+    with mock.patch.object(balance, "_GRAM_UPDATE_MIN", 0):
+        for step in steps:
+            if step == "random":
+                mask = rng.random(system.n) < rng.random()
+            elif step in ("all", "none"):
+                mask = np.full(system.n, step == "all")
+            elif step == "complement":
+                mask = ~mask
+            else:
+                mask = mask.copy()
+                if step == "flip":
+                    mask[rng.integers(system.n)] ^= True
+                else:
+                    mask[rng.random(system.n) < 0.05] ^= True
+            want = dense.active_gram(mask)
+            got = system.active_gram(mask)
+            assert np.max(np.abs(got - want)) <= 1e-12 * (1 + np.max(np.abs(want)))
+        walked = solve_dual(system)
+        fresh = solve_dual(build_balance_system(ds, BasisSpec(), design, drop_redundant=True))
+    assert (walked.status, walked.iterations) == (fresh.status, fresh.iterations)
+    if fresh.converged:  # an infeasible fit's last iterate has no meaning
+        assert np.max(np.abs(walked.weights - fresh.weights)) <= 1e-10
+
+
+def test_small_sample_gram_does_not_depend_on_earlier_calls():
+    # below _GRAM_UPDATE_MIN units saved active_gram sums the masked units
+    # afresh, which is bitwise the plain masked sum
+    _, system = case("incomplete")
+    assert system.n < balance._GRAM_UPDATE_MIN
+    rng = np.random.default_rng(0)
+    masks = [rng.random(system.n) < q for q in (0.9, 0.5, 0.1, 0.6)]
+    for mask in masks:
+        walked = system.active_gram(mask)
+        fresh = dataclasses.replace(system).active_gram(mask)
+        assert np.array_equal(walked, fresh)
 
 
 def test_greedy_keep_finds_rows_after_long_dependent_runs():
