@@ -91,7 +91,8 @@ class BalanceSystem:
     ``B``, ``unit_targets`` and ``element_values`` build the dense arrays
     on demand, for inspection and tests. The ``G`` rows on one basis
     column are orthogonal, each of squared norm the number of observed
-    cells, unless the data stage removed some of them.
+    cells; ``_complement`` holds the rows (and their columns) that complete
+    each column's rows to such a basis of the cells, or None.
     """
 
     G: np.ndarray
@@ -101,6 +102,7 @@ class BalanceSystem:
     elements: tuple[tuple[int, tuple[int, ...]], ...]
     basis_values: np.ndarray
     design: FactorialDesign
+    _complement: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def b(self) -> np.ndarray:
@@ -176,7 +178,7 @@ class BalanceSystem:
         entry (c, s) sums ``G[r, c] * lam[r]`` over the rows r on column s,
         so that ``(B.T @ lam)[i]`` is ``H[i] @ entry[unit_cells[i]]``;
         cells x S, or cells x S x E for a P x E ``lam``."""
-        return np.stack([self.G[rows].T @ lam[rows] for rows in self._by_basis], axis=1)
+        return _to_cells(self.G, self._by_basis, lam)
 
     def rmatvec(self, lam: np.ndarray, units: slice = slice(None)) -> np.ndarray:
         """``B.T @ lam``, or its rows ``units`` (a slice of consecutive
@@ -200,47 +202,93 @@ class BalanceSystem:
 
     @cached_property
     def _last_gram(self) -> list:
-        """The last mask ``active_gram`` took and its per-cell Gram of H;
-        at first every unit and ``cell_gram``."""
+        """The last mask ``active_cell_gram`` took and its per-cell Gram of
+        H; at first every unit and ``cell_gram``."""
         return [np.ones(self.n, dtype=bool), self.cell_gram]
 
-    def active_gram(self, mask: np.ndarray) -> np.ndarray:
-        """``B[:, mask] @ B[:, mask].T`` (P x P): entry (r, t) sums
-        ``G[r, c] G[t, c] gram_c[s_r, s_t]`` over cells c, with ``gram_c``
-        H's Gram matrix over c's masked units (cells x S x S); one matmul
-        per basis column.
-
-        The system remembers the last mask and its ``gram_c`` (at first
-        every unit, with ``cell_gram``). A new mask's ``gram_c`` is
-        ``cell_gram`` if it masks every unit, and otherwise either the
-        remembered one plus the signed sum of ``H[i] H[i]'`` over the units
-        that changed side since the last call, or the plain masked sum over
-        all N units. The update is taken when it touches at least
-        ``_GRAM_UPDATE_MIN`` fewer units than there are masked units: a
-        Newton step moves few units, so on a large sample most calls touch
-        a small fraction of them, while on a small one the plain sum costs
-        no more. The result thus depends on earlier calls through rounding
-        only, and is deterministic for a given sequence of calls.
-        """
+    def active_cell_gram(self, mask: np.ndarray) -> np.ndarray:
+        """H's Gram matrix over each observed cell's masked units (cells x
+        S x S), for the Newton step and the variance. A mask of every unit
+        gives ``cell_gram``, the last mask taken its remembered result, and
+        any other either that result plus the signed ``H[i] H[i]'`` of the
+        units that changed side, where that touches at least
+        ``_GRAM_UPDATE_MIN`` fewer units than are masked, or the plain
+        masked sum; so the result depends on earlier calls through rounding
+        only."""
         mask = np.asarray(mask, dtype=bool)
         last, gram = self._last_gram
         active = np.count_nonzero(mask)
         if active == self.n:
             gram = self.cell_gram
-        else:
+        elif not np.array_equal(mask, last):
             # an update saves enough units only if as many are masked
             changed = np.flatnonzero(mask != last) if active >= _GRAM_UPDATE_MIN else []
             if active - len(changed) < _GRAM_UPDATE_MIN:
                 gram = self._cell_sums(self.basis_values * mask.astype(float)[:, None])
-            elif len(changed):
+            else:
                 h = self.basis_values.take(changed, axis=0)
                 moves = np.where(mask[changed], 1.0, -1.0)[:, None]
                 gram = gram + self.cell_outer(h * moves, [h], changed)[0]
         self._last_gram[:] = mask.copy(), gram
-        out = np.empty((self.p, self.p))
-        for s, rows in enumerate(self._by_basis):
-            out[rows] = self.G[rows] @ (gram[:, s, self.basis_ids] * self.G.T)
-        return out
+        return gram
+
+    def active_gram(self, mask: np.ndarray) -> np.ndarray:
+        """``B[:, mask] @ B[:, mask].T`` (P x P): entry (r, t) sums
+        ``G[r, c] G[t, c] gram_c[s_r, s_t]`` over cells c, with ``gram_c``
+        the ``active_cell_gram`` of the mask; one matmul per basis column."""
+        return _assemble(self.G, self.basis_ids, self._by_basis, self.active_cell_gram(mask))
+
+    def gram_trace(self, gram: np.ndarray) -> float:
+        """The trace of ``active_gram``'s assembly of the per-cell ``gram``."""
+        return float(np.sum(self._column_squares * np.diagonal(gram, axis1=1, axis2=2)))
+
+    @cached_property
+    def _column_squares(self) -> np.ndarray:
+        """Per-cell sums of ``G[r, c]^2`` over each column's rows (cells x S)."""
+        return _to_cells(self.G**2, self._by_basis, np.ones(self.p))
+
+    @cached_property
+    def _cell_frame(self) -> tuple | None:
+        """The complement rows, their columns and their indices by column;
+        None if there are P or more, or if a column's ``G`` and complement
+        rows are not orthogonal of squared norm ``cells`` (``G`` rescaled)."""
+        if self._complement is None or len(self._complement[0]) >= self.p:
+            return None
+        rows, ids = self._complement
+        cells = self.G.shape[1]
+        by_basis = [np.flatnonzero(ids == s) for s in range(self.basis_values.shape[1])]
+        for mine, theirs in zip(self._by_basis, by_basis):
+            q = np.concatenate([self.G[mine], rows[theirs]])
+            off = q @ q.T - cells * np.eye(cells) if len(q) == cells else np.inf
+            if np.max(np.abs(off)) > _FRAME_TOL * cells:
+                return None
+        return rows, ids, by_basis
+
+    def cell_solve(self, gram: np.ndarray, ridge: float, v: np.ndarray) -> np.ndarray | None:
+        """``(M + ridge I)^{-1} v`` for ``active_gram``'s assembly M of the
+        per-cell ``gram``, from the inverses of D'_c = gram_c + (ridge /
+        cells) I and an m x m coupling on the complement rows (the
+        ``solver`` module gives the algebra). None without ``_cell_frame``,
+        or unless max_c |D'_c^{-1}|_F max_c |D'_c|_F < 1 / ``_GRAM_TOL``: a
+        sufficient bound for the data stage's eigenvalue rule on the D'_c."""
+        if self._cell_frame is None:
+            return None
+        rows, ids, by_basis = self._cell_frame
+        cells, s_count = gram.shape[:2]
+        blocks = gram + ridge / cells * np.eye(s_count)
+        try:
+            inv = np.linalg.inv(blocks)
+            norms = [np.linalg.norm(a, axis=(1, 2)).max() for a in (inv, blocks)]
+            if not norms[0] * norms[1] < 1 / _GRAM_TOL:
+                return None
+            y = (inv @ self.cell_multipliers(v)[:, :, None])[:, :, 0]
+            if len(rows):
+                coupling = _assemble(rows, ids, by_basis, inv)
+                mu = np.linalg.solve(coupling, (rows * y[:, ids].T).sum(axis=1))
+                y -= (inv @ _to_cells(rows, by_basis, mu)[:, :, None])[:, :, 0]
+        except np.linalg.LinAlgError:
+            return None
+        return (self.G * y[:, self.basis_ids].T).sum(axis=1) / cells**2
 
     def element_columns(self) -> np.ndarray:
         """The balanced functions at each unit's own assignment (N x elements)."""
@@ -265,7 +313,22 @@ class BalanceSystem:
         return self.element_columns().T
 
 
-# ``BalanceSystem.active_gram`` updates its remembered Gram only when the
+def _to_cells(G: np.ndarray, by_basis: list[np.ndarray], lam: np.ndarray) -> np.ndarray:
+    """Per-cell sums of ``G[r, c] * lam[r]`` over each column's rows
+    (cells x S, or cells x S x E for a P x E ``lam``)."""
+    return np.stack([G[rows].T @ lam[rows] for rows in by_basis], axis=1)
+
+
+def _assemble(G: np.ndarray, ids: np.ndarray, by_basis: list[np.ndarray],
+              blocks: np.ndarray) -> np.ndarray:
+    """Entry (r, t) sums ``G[r, c] G[t, c] blocks[c, ids[r], ids[t]]`` over cells."""
+    out = np.empty((len(G), len(G)))
+    for s, rows in enumerate(by_basis):
+        out[rows] = G[rows] @ (blocks[:, s, ids] * G.T)
+    return out
+
+
+# ``BalanceSystem.active_cell_gram`` updates its remembered Gram only when the
 # units that changed side are at least this many fewer than the masked
 # ones. Below that the plain masked sum costs about as much, and it keeps
 # a small fit's arithmetic as it was: the update rounds differently, which
@@ -285,6 +348,8 @@ _SPAN_TOL = 1e-10
 # 5 * cells * max_c lambda_max(gram_c) (|coef| <= 2); above 5e-20 no row is
 # within _KEEP_TOL of the others' span
 _GRAM_TOL = 1e-8
+# ``_cell_frame`` admits G and complement rows whose Gram is cells * I within this * cells
+_FRAME_TOL = 1e-12
 
 
 def build_balance_system(
@@ -361,46 +426,63 @@ def build_balance_system(
             "order or the number of basis functions"
         )
     spans = [
-        _characters(k, order) if design.complete else _candidate_span(design, orders)
+        (_characters(k, order), None) if design.complete
+        else _candidate_span(design, orders)
         for _, orders, order in groups
     ]
-    G = np.concatenate([np.tile(span, (m, 1)) for (m, _, _), span in zip(groups, spans)])
-    per_column = [len(span) for (m, _, _), span in zip(groups, spans) for _ in range(m)]
+    G = np.concatenate([np.tile(span, (m, 1)) for (m, _, _), (span, _) in zip(groups, spans)])
+    per_column = [len(span) for (m, _, _), (span, _) in zip(groups, spans) for _ in range(m)]
     basis_ids = np.repeat(np.arange(s_count + 1), per_column)
     coef = G.sum(axis=1) / 2 ** (k - 1)
+    complement = None
+    if 2 * len(G) > cells * H.shape[1]:  # fewer rows complete the columns than G has
+        complement = (np.concatenate([
+            np.tile(_characters(k, k)[len(span):] if rest is None else rest, (m, 1))
+            for (m, _, _), (span, rest) in zip(groups, spans)
+        ]), np.repeat(np.arange(s_count + 1), cells - np.array(per_column)))
     system = BalanceSystem(G=G, basis_ids=basis_ids, coef=coef, unit_cells=unit_cells,
-                           elements=tuple(elements), basis_values=H, design=design)
+                           elements=tuple(elements), basis_values=H, design=design,
+                           _complement=complement)
     if drop_redundant:
         eig = np.linalg.eigvalsh(system.cell_gram)
         if eig[:, 0].min() <= _GRAM_TOL * eig[:, -1].max():
             keep = _numeric_keep(system)
-            system = replace(system, G=G[keep], basis_ids=basis_ids[keep], coef=coef[keep])
+            if complement is not None:  # the dropped rows join the complement
+                drop = np.setdiff1d(np.arange(len(G)), keep)
+                complement = (np.concatenate([complement[0], G[drop]]),
+                              np.concatenate([complement[1], basis_ids[drop]]))
+            system = replace(system, G=G[keep], basis_ids=basis_ids[keep], coef=coef[keep],
+                             _complement=complement)
     return system
 
 
 @lru_cache(maxsize=64)
 def _characters(k: int, order: int) -> np.ndarray:
     """Read-only (characters, 2^k cells) values of the characters chi_A
-    with |A| <= ``order``: the basis of every column's span on a complete
-    design."""
+    with |A| <= ``order``, by order: the basis of every column's span on a
+    complete design, and with ``order`` = k its completion."""
     chars = character_rows(enumerate_combinations(k), range(order + 1))
     chars.setflags(write=False)
     return chars
 
 
-def _candidate_span(design: FactorialDesign, orders: range) -> np.ndarray:
+def _candidate_span(design: FactorialDesign, orders: range) -> tuple[np.ndarray, np.ndarray]:
     """Orthogonal rows, each of squared norm the number of observed cells,
     spanning the candidate rows of a column that carries the interactions
     of ``orders``: chi_J, g_K^+ chi_J and g_K^- chi_J over the retained
-    effects K, with g_K the effective contrasts (observed cells only)."""
+    effects K, with g_K the effective contrasts (observed cells only); and
+    such rows completing them to every observed cell, the right singular
+    vectors left out."""
     cells = design.observed
     r_cells = character_rows(cells, orders)
     parts = np.stack(split_contrast(design.effective[1:]))  # sides x effects x cells
     candidates = np.concatenate(
         [r_cells, (parts[:, :, None] * r_cells).reshape(-1, len(cells))]
     )
-    _, sigma, vt = np.linalg.svd(candidates, full_matrices=False)
-    return vt[sigma > _SPAN_TOL * sigma[0]] * np.sqrt(len(cells))
+    _, sigma, vt = np.linalg.svd(candidates, full_matrices=len(candidates) < len(cells))
+    vt *= np.sqrt(len(cells))
+    rank = np.count_nonzero(sigma > _SPAN_TOL * sigma[0])
+    return vt[:rank], vt[rank:]
 
 
 def _numeric_keep(system: BalanceSystem) -> list[int]:

@@ -19,6 +19,19 @@ Jacobian there. So the first step from lam = 0 is the all-active Newton
 step, whose weights are the minimum-norm solution B'(BB')^{-1} b; when
 those are nonnegative the solve ends after one iteration. Every solution
 records which rule stopped the iteration (``stop_reason``).
+
+A Newton step solves (A + ridge I) d = g, A = (1/2) B_act B_act' and ridge
+``HESSIAN_RIDGE`` times A's mean diagonal, in one of two forms. With G~ the
+P x (cells * S) lift of ``G`` (G[r, c] at (c, s_r)) and D block diagonal in
+the cells' halved active Gram matrices of H, A = G~ D G~'; each column's
+rows are orthogonal of squared norm ``cells``, so A + ridge I = G~ D' G~'
+with D' = D + (ridge / cells) I, the same ridge exactly. With N~ the m rows
+completing the columns' rows to orthogonal bases of the cells, lifted
+alike, and W = N~ D'^{-1} N~', the cell-space form takes y = D'^{-1} G~' g,
+y -= D'^{-1} N~' W^{-1} N~ y and d = G~ y / cells^2 (m = 6 on the five-factor
+study, 0 on a saturated design). The P x P form assembles A and factors it
+where m >= P, where ``G`` was rescaled by hand, or where the cell blocks are
+too ill-conditioned (``BalanceSystem.cell_solve``).
 """
 
 from __future__ import annotations
@@ -59,8 +72,9 @@ class SolverOptions:
     max_iters: int = 500
 
     def __post_init__(self):
-        if self.max_iters <= 0:
-            raise ValueError("max_iters must be positive")
+        iters = self.max_iters
+        if isinstance(iters, bool) or not isinstance(iters, int) or iters <= 0:
+            raise ValueError(f"max_iters must be a positive integer, got {iters!r}")
 
 
 @dataclass(frozen=True)
@@ -112,21 +126,28 @@ def _eval(lam, system, b):
     return u, neg, w, obj, grad
 
 
+def _ridge(trace: float, p: int) -> float:
+    return HESSIAN_RIDGE * trace / p if trace > 0 else HESSIAN_RIDGE
+
+
 def _newton_direction(system, neg, grad):
-    """Ascent direction from the generalized Hessian -(1/2) B_act B_act',
-    or None (``solve_dual`` then takes a gradient step) when no unit is
-    active, the Cholesky factorization fails or the direction is not a
-    finite ascent direction."""
+    """Ascent direction ``(A + ridge I)^{-1} grad``, A = (1/2) B_act B_act',
+    in cell space where a ``BalanceSystem`` can; or None (``solve_dual``
+    then takes a gradient step) when no unit is active, the Cholesky
+    factorization fails or the direction is not a finite ascent direction."""
     if not np.any(neg):
         return None
-    A = 0.5 * system.active_gram(neg)
-    tr = np.trace(A)
-    ridge = HESSIAN_RIDGE * tr / A.shape[0] if tr > 0 else HESSIAN_RIDGE
-    A[np.diag_indices_from(A)] += ridge
-    try:
-        d = sla.cho_solve(sla.cho_factor(A, check_finite=False), grad, check_finite=False)
-    except (np.linalg.LinAlgError, ValueError):
-        return None
+    d = None
+    if isinstance(system, BalanceSystem):
+        gram = 0.5 * system.active_cell_gram(neg)
+        d = system.cell_solve(gram, _ridge(system.gram_trace(gram), system.p), grad)
+    if d is None:
+        A = 0.5 * system.active_gram(neg)
+        A[np.diag_indices_from(A)] += _ridge(np.trace(A), A.shape[0])
+        try:
+            d = sla.cho_solve(sla.cho_factor(A, check_finite=False), grad, check_finite=False)
+        except (np.linalg.LinAlgError, ValueError):
+            return None
     if not np.all(np.isfinite(d)) or grad @ d <= 0:
         return None
     return d

@@ -380,6 +380,56 @@ class TestVariance:
             assert abs(moved_est.tau_hat - est.tau_hat) <= 1e-10 * scale
             assert moved_est.sigma2_hat == pytest.approx(est.sigma2_hat, rel=1e-9)
 
+    @pytest.mark.parametrize("j", [1, 3])
+    @pytest.mark.parametrize("fit", [converged_fit, incomplete_fit])
+    def test_flipping_a_factor_negates_its_effects(self, fit, j):
+        # relabeling factor j's levels, and the unobserved cells with them,
+        # maps each basis column's span onto itself: the weights stay and
+        # every effect containing j changes sign. The relabeled cells come
+        # in another order, which the per-cell sums and the cell-space
+        # Newton step must not depend on
+        ds, design, system, sol = fit(seed=7)
+        Z, unobserved = ds.Z.copy(), design.unobserved.copy()
+        Z[:, j - 1] *= -1
+        unobserved[:, j - 1] *= -1
+        flipped = Dataset(Z, ds.X, ds.Y)
+        flipped_design = build_incomplete_design(design.k, design.k_prime, unobserved)
+        flipped_system = build_balance_system(
+            flipped, BasisSpec(), flipped_design, drop_redundant=True
+        )
+        flipped_sol = solve_dual(flipped_system)
+        assert flipped_sol.converged
+        assert np.max(np.abs(flipped_sol.weights - sol.weights)) <= 1e-10
+        effects = [e for e in design.effects if e.order > 0]
+        ests = weighted_estimates(ds, system, sol.weights, sol.lam, effects)
+        flipped_ests = weighted_estimates(
+            flipped, flipped_system, flipped_sol.weights, flipped_sol.lam, effects
+        )
+        for est, flipped_est in zip(ests, flipped_ests):
+            sign = -1 if j in est.effect.members else 1
+            assert abs(flipped_est.tau_hat - sign * est.tau_hat) <= 1e-10 * (1 + abs(est.tau_hat))
+            assert flipped_est.sigma2_hat == pytest.approx(est.sigma2_hat, rel=1e-9)
+
+    @pytest.mark.parametrize("fit", [converged_fit, incomplete_fit])
+    def test_duplicating_the_sample_keeps_the_fit(self, fit):
+        # the sample twice over has the same balance constraints and the
+        # same multipliers, so each copy of a unit takes its weight, and
+        # tau and sigma2 are unchanged
+        ds, design, system, sol = fit(seed=7)
+        twice = Dataset(np.vstack([ds.Z, ds.Z]), np.vstack([ds.X, ds.X]), np.tile(ds.Y, 2))
+        twice_system = build_balance_system(twice, BasisSpec(), design, drop_redundant=True)
+        twice_sol = solve_dual(twice_system)
+        assert twice_sol.converged
+        assert np.max(np.abs(twice_sol.weights - np.tile(sol.weights, 2))) <= 1e-10
+        effects = [e for e in design.effects if e.order > 0]
+        ests = weighted_estimates(ds, system, sol.weights, sol.lam, effects)
+        twice_ests = weighted_estimates(
+            twice, twice_system, twice_sol.weights, twice_sol.lam, effects
+        )
+        for est, twice_est in zip(ests, twice_ests):
+            assert abs(twice_est.tau_hat - est.tau_hat) <= 1e-10 * (1 + abs(est.tau_hat))
+            assert twice_est.sigma2_hat == pytest.approx(est.sigma2_hat, rel=1e-9)
+
     @staticmethod
     def spd(lam_min, lam_max, p=40):
         """SPD matrix with log-spaced eigenvalues from lam_min to lam_max."""

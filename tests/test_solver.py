@@ -249,8 +249,12 @@ class TestSolveDual:
         assert np.all(sol.weights >= 0) and np.all(np.isfinite(sol.weights))
 
     def test_option_validation(self):
-        with pytest.raises(ValueError):
-            SolverOptions(max_iters=0)
+        # only a positive int that is not a bool is a budget: a nan one ran
+        # no iteration and returned all-zero weights as max_iters
+        for bad in (0, -3, float("nan"), 2.5, 10.0, True, False, "5", None):
+            with pytest.raises(ValueError, match="max_iters"):
+                SolverOptions(max_iters=bad)
+        assert SolverOptions(max_iters=1).max_iters == 1
 
 
 class TestPrimalOracle:
