@@ -5,6 +5,10 @@ For each seed and op index given, runs the workload's own ``prepare``,
 one thread as perfbench pins it, and prints one JSON line per op:
 
 - ``solves``: status and iteration count of each dual solve the op made;
+- ``variance``: the verdict of each ``weighted_estimates`` call, ``ok`` or
+  the class of the error it raised (a study counts such a fit as failed);
+- ``warnings``: each warning the op emitted, as its category and the
+  first five words of its message;
 - ``exit``: the exit code of a CLI op;
 - ``raised``: the error a failed op raised, if any;
 - ``fits_failed``, ``failed``, ``errors``: the check's counts and its
@@ -29,6 +33,7 @@ import json
 import os
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -56,22 +61,38 @@ def scan(wl, i: int) -> dict:
     """Run, check and describe op ``i`` of workload ``wl``."""
     module = next(m for m, names in wl.traced if "solve_dual" in names)
     solve = module.solve_dual
-    solves = []
+    est_module = next(m for m, names in wl.traced if "weighted_estimates" in names)
+    estimate = est_module.weighted_estimates
+    solves, verdicts = [], []
 
     def recording(*args, **kwargs):
         sol = solve(*args, **kwargs)
         solves.append([sol.status, sol.iterations])
         return sol
 
+    def judged(*args, **kwargs):
+        try:
+            out = estimate(*args, **kwargs)
+        except workloads.factorbal.FactorbalError as exc:
+            verdicts.append(type(exc).__name__)
+            raise
+        verdicts.append("ok")
+        return out
+
     inp = wl.prepare(i)
     rec = {"workload": wl.name, "seed": wl.seed, "op": i}
     # what the op prints goes to standard error, to keep one JSON line per op
-    with patched(module, {"solve_dual": recording}), contextlib.redirect_stdout(sys.stderr):
+    with (patched(module, {"solve_dual": recording}),
+          patched(est_module, {"weighted_estimates": judged}),
+          warnings.catch_warnings(record=True) as caught,
+          contextlib.redirect_stdout(sys.stderr)):
+        warnings.simplefilter("always")
         try:
             out = wl.run(inp)
         except workloads.factorbal.FactorbalError as exc:
             out, rec["raised"] = None, type(exc).__name__
-    rec["solves"] = solves
+    rec.update(solves=solves, variance=verdicts, warnings=[
+        f"{w.category.__name__}: {' '.join(str(w.message).split()[:5])}" for w in caught])
     if out is None:
         outcome = workloads.Outcome(fits=wl.units, fits_failed=wl.units, failed=True)
     else:

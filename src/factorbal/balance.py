@@ -266,11 +266,11 @@ class BalanceSystem:
 
     def cell_solve(self, gram: np.ndarray, ridge: float, v: np.ndarray) -> np.ndarray | None:
         """``(M + ridge I)^{-1} v`` for ``active_gram``'s assembly M of the
-        per-cell ``gram``, from the inverses of D'_c = gram_c + (ridge /
-        cells) I and an m x m coupling on the complement rows (the
-        ``solver`` module gives the algebra). None without ``_cell_frame``,
-        or unless max_c |D'_c^{-1}|_F max_c |D'_c|_F < 1 / ``_GRAM_TOL``: a
-        sufficient bound for the data stage's eigenvalue rule on the D'_c."""
+        per-cell ``gram``, ``v`` a vector or P x E (the variance's, ridge 0):
+        from the inverses of D'_c = gram_c + (ridge / cells) I and an m x m
+        coupling on the complement rows (algebra in ``solver``). None without
+        ``_cell_frame`` or unless max_c |D'_c^{-1}|_F max_c |D'_c|_F <
+        1 / ``_GRAM_TOL``, which suffices for the data stage's eigenvalue rule."""
         if self._cell_frame is None:
             return None
         rows, ids, by_basis = self._cell_frame
@@ -281,14 +281,19 @@ class BalanceSystem:
             norms = [np.linalg.norm(a, axis=(1, 2)).max() for a in (inv, blocks)]
             if not norms[0] * norms[1] < 1 / _GRAM_TOL:
                 return None
-            y = (inv @ self.cell_multipliers(v)[:, :, None])[:, :, 0]
+            y = inv @ self.cell_multipliers(v).reshape(cells, s_count, -1)  # E = 1 for a vector
             if len(rows):
                 coupling = _assemble(rows, ids, by_basis, inv)
-                mu = np.linalg.solve(coupling, (rows * y[:, ids].T).sum(axis=1))
-                y -= (inv @ _to_cells(rows, by_basis, mu)[:, :, None])[:, :, 0]
+                rhs = (rows[:, :, None] * y[:, ids].swapaxes(0, 1)).sum(axis=1)
+                y -= inv @ _to_cells(rows, by_basis, np.linalg.solve(coupling, rhs))
         except np.linalg.LinAlgError:
             return None
-        return (self.G * y[:, self.basis_ids].T).sum(axis=1) / cells**2
+        if v.ndim == 1:  # numpy's row sums, not BLAS: the solver's iterates hang on this rounding
+            return (self.G * y[:, self.basis_ids, 0].T).sum(axis=1) / cells**2
+        d = np.empty(v.shape)
+        for s, r in enumerate(self._by_basis):
+            d[r] = self.G[r] @ y[:, s]
+        return d / cells**2
 
     def element_columns(self) -> np.ndarray:
         """The balanced functions at each unit's own assignment (N x elements)."""

@@ -30,9 +30,9 @@ class InfeasibleProblemError(FactorbalError):
 class VarianceError(FactorbalError):
     """The variance estimator's curvature matrix is singular.
 
-    Usually means the balance system carries rows that are dependent on
-    this data, e.g. under collinear basis functions; rebuild it with
-    ``drop_redundant=True``, which removes them.
+    Either rows of the balance system are dependent on this data, which
+    ``drop_redundant=True`` removes, or the units with positive weight leave
+    some cells' Gram matrix of the basis functions singular (named then).
     """
 
 

@@ -10,7 +10,7 @@ residuals. Each residual is a unit's features, [w h, h, w Y], times a
 vector that depends only on the unit's cell and the effect, so the mean
 square is a quadratic form in each cell's second moments of those
 features. All requested effects are estimated together, from one
-contrast matrix and one factorization of the curvature.
+contrast matrix and one solve with the curvature, in cell space if it can.
 """
 
 from __future__ import annotations
@@ -68,16 +68,17 @@ def weighted_estimates(
     Its variance is the mean square of the per-unit estimating-equation
     residuals (dual gradient contributions contracted with the last row of
     the inverted curvature matrix, minus the centered effect contribution);
-    the curvature is factorized once and solved for every effect together.
+    the curvature is solved once for every effect together: in cell space
+    where the cells' active Gram matrices bound its spectrum clear of the
+    verdicts below, elsewhere by ``_factor_curvature``.
     A unit's residual is its features ``f_i = [w_i h_i, h_i, w_i Y_i]``,
     with ``h_i`` its basis values, times a vector ``a_ce`` of its cell c,
     so the variance is ``(1/N) sum_c a_ce' F_c a_ce`` with ``F_c`` the sum
     of ``f_i f_i'`` over c's units; no units x effects array is formed.
     ``Y`` is centered per cell in that form, so that an outcome far from
-    zero does not cancel in those sums. Raises
-    ``VarianceError`` when the curvature is numerically singular (its
-    smallest eigenvalue below ``MIN_CURVATURE_EIGENVALUE``), which
-    typically means the system retains linearly dependent rows.
+    zero does not cancel in those sums. Raises ``VarianceError`` when the
+    curvature is numerically singular (eigenvalue below 1e-10), naming the
+    cells whose active units cause it where no row is redundant.
     """
     if not effects:
         return []
@@ -94,13 +95,38 @@ def weighted_estimates(
         S = np.take(cell_contrasts[rows], system.unit_cells, axis=1) * wy
         tau[rows] = S.sum(axis=1) / n
 
-    active = system.rmatvec(lam) < 0
-    A = system.active_gram(active) * 0.5 / n  # symmetric positive semidefinite curvature
-    factor = _factor_curvature(A)
     # l_e = A^{-1} r_e with r_e = (1/2N) sum over active units of B_i c_e Y_i;
     # c_e is constant within a cell, so r_e contracts B's per-cell parts
+    active = system.rmatvec(lam) < 0
     R = 0.5 / n * (system.cell_parts(dataset.Y * active) @ cell_contrasts.T)  # P x E
-    L = sla.cho_solve(factor, R, check_finite=False)
+    # A = G~ D G~' with G~G~' = cells I (see ``solver``): its spectrum is in [lo, hi].
+    # Past these bounds A - 1e-10 I stays above lo / 2, far over its Cholesky rounding
+    # (P (P + 1) eps hi), and the condition estimate (at most hi / lo) cannot warn
+    D = system.active_cell_gram(active) * (0.5 / n)
+    eig = np.linalg.eigvalsh(D)
+    lo, hi = len(D) * eig[:, 0].min(), len(D) * eig[:, -1].max()
+    certified = (lo >= 2 * MIN_CURVATURE_EIGENVALUE and hi <= MAX_CURVATURE_CONDITION / 2 * lo
+                 and system.p * (system.p + 1) * np.finfo(float).eps * hi < lo / 4)
+    L = system.cell_solve(D, 0.0, R) if certified else None
+    if L is None:
+        A = system.active_gram(active) * 0.5 / n  # symmetric positive semidefinite curvature
+        try:
+            factor = _factor_curvature(A)
+        except VarianceError:
+            full = system.active_gram(np.ones(n, dtype=bool)) * 0.5 / n
+            if np.linalg.eigvalsh(full)[0] < MIN_CURVATURE_EIGENVALUE:
+                raise  # rows redundant on this data: the data stage's advice holds
+            # the cells whose active Gram is singular next to the largest one
+            cells = np.flatnonzero(eig[:, 0] * MAX_CURVATURE_CONDITION <= eig[:, -1].max())
+            counts = np.bincount(system.unit_cells[active], minlength=len(D))
+            named = [f"{tuple(design.observed[c].tolist())}: {counts[c]}" for c in cells[:5]]
+            raise VarianceError(
+                "curvature matrix is singular although no balance row is redundant on this data: "
+                f"the units with positive weight leave the S = {D.shape[1]} basis functions' Gram "
+                f"matrix singular in {len(cells)} observed cell(s) (levels: such units, first "
+                f"five): {'; '.join(named)}"
+            ) from None
+        L = sla.cho_solve(factor, R, check_finite=False)
 
     # per unit i in cell c, the estimating-equation residual
     # l_e'(B_i w_i - b_i) - (c_ec w_i Y_i - tau_e) is f_i'a_ce with
@@ -109,9 +135,7 @@ def weighted_estimates(
     # -c_ec Ybar_c on the constant, tau_e on the constant minus K[:, e], -c_ec]:
     # l_e'B_i = h_i'M[c, :, e] with M = cell_multipliers(L), and l_e'b_i =
     # h_i'K[:, e] with K[s, e] the sum of coef_r L[r, e] over the rows on
-    # column s. So sigma2_e is (1/N) sum_c a_ce'F_c a_ce, with F_c the sum of
-    # f_i f_i' over c's units. Centering Y per cell keeps an outcome far from
-    # zero from cancelling in those sums
+    # column s, and sigma2_e is (1/N) sum_c a_ce'F_c a_ce
     H = system.basis_values
     cells, s_count = cell_contrasts.shape[1], H.shape[1]
     counts = np.bincount(system.unit_cells, minlength=cells)
@@ -163,20 +187,15 @@ def _blocks(count: int, width: int) -> list[slice]:
 
 
 def _factor_curvature(A: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Cholesky factor of the curvature ``A``, as ``cho_factor`` returns it.
+    """Cholesky factor of the curvature ``A`` (as ``cho_factor`` returns it)
+    where ``weighted_estimates`` cannot solve it in cell space.
 
     Raises ``VarianceError`` iff ``A - MIN_CURVATURE_EIGENVALUE * I`` is
-    not positive definite, i.e. iff A's smallest eigenvalue is below
-    ``MIN_CURVATURE_EIGENVALUE`` (up to rounding). Warns when A's condition
-    number exceeds ``MAX_CURVATURE_CONDITION``. That number is an
-    estimate: ``CONDITION_ITERS`` power iterations for the largest
-    eigenvalue and as many inverse iterations on the factor for the
-    smallest, from one fixed pseudorandom start. Neither iterate's growth
-    can exceed the extreme eigenvalue it estimates, so the estimate never
-    exceeds the condition number. It is close when the extreme eigenvalues
-    stand apart from the rest of the spectrum; on 583 draws of the
-    five-factor study it read 0.58 to 1.0 times the condition number
-    (median 0.94), whose largest value there was 6e5.
+    not positive definite. Warns when an estimate of A's condition number,
+    from ``CONDITION_ITERS`` power and inverse iterations from one fixed
+    pseudorandom start, exceeds ``MAX_CURVATURE_CONDITION``; it never
+    exceeds the condition number (on 583 five-factor draws it read 0.58
+    to 1.0 times it, median 0.94).
     """
     shifted = A.copy()
     shifted[np.diag_indices_from(shifted)] -= MIN_CURVATURE_EIGENVALUE

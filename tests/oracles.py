@@ -297,6 +297,14 @@ def span_residual(rows: np.ndarray, spanning: np.ndarray, tol: float = 1e-10) ->
     return float(np.max(np.linalg.norm(resid, axis=1) / np.linalg.norm(rows, axis=1), initial=0.0))
 
 
+def span_rounding(rows: np.ndarray, tol: float = 1e-10) -> float:
+    """About how far rounding can move the span ``span_residual`` takes
+    from ``rows``: eps times the ratio of their largest singular value to
+    the smallest one above ``tol`` times it."""
+    sigma = np.linalg.svd(rows, compute_uv=False)
+    return float(np.finfo(float).eps * sigma[0] / sigma[sigma > tol * sigma[0]][-1])
+
+
 def span_rank(rows: np.ndarray, tol: float = 1e-10) -> int:
     """Number of singular values of ``rows`` above ``tol`` times the largest."""
     sigma = np.linalg.svd(rows, compute_uv=False)

@@ -15,6 +15,7 @@ from factorbal.cli import (
 )
 from factorbal.design import enumerate_combinations
 from test_balance import address_space_cap
+from test_estimation import binary_covariate_draw
 from test_incomplete import incomplete_draw
 
 
@@ -301,6 +302,21 @@ class TestEstimate:
         assert code == EXIT_DATA
         assert "GiB budget" in capsys.readouterr().err
         assert not list(tmp_path.glob("run_*"))
+
+    def test_singular_active_cells_exit_2_without_advice(self, tmp_path, capsys):
+        # the library's binary-covariate draw: the CLI already filters rows
+        # redundant on the data, so the message names the cells instead
+        ds = binary_covariate_draw()
+        data = tmp_path / "binary.csv"
+        header = ["t1", "t2", "t3", *(f"x{j}" for j in range(1, 6)), "y"]
+        write_csv(data, header, np.column_stack([ds.Z, ds.X, ds.Y]).tolist())
+        argv = ["estimate", "--data", str(data), "--factors", "t1,t2,t3",
+                "--covariates", "x1,x2,x3,x4,x5", "--outcome", "y", "--max-order", "1",
+                "--out", str(tmp_path / "out")]
+        assert main(argv) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "no balance row is redundant" in err and "in 3 observed cell(s)" in err
+        assert "drop_redundant" not in err
 
     def test_config_file(self, tmp_path):
         data = tmp_path / "data.csv"

@@ -1,12 +1,14 @@
+import re
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from factorbal.balance import BasisSpec, build_balance_system
+from factorbal.balance import BalanceSystem, BasisSpec, build_balance_system
 from factorbal.data import Dataset
 from factorbal.design import (
     Effect,
@@ -18,7 +20,7 @@ from factorbal.design import (
     full_design,
 )
 from factorbal import estimation
-from factorbal.errors import BaselineError, ConfigurationError, VarianceError
+from factorbal.errors import BaselineError, ConfigurationError, IdentificationError, VarianceError
 from factorbal.estimation import (
     MAX_CURVATURE_CONDITION,
     MIN_CURVATURE_EIGENVALUE,
@@ -31,7 +33,7 @@ from factorbal.estimation import (
     weighted_estimates,
 )
 from factorbal.simulation import Scenario, generate
-from factorbal.solver import solve_dual
+from factorbal.solver import SolverOptions, solve_dual
 from oracles import eigh_sandwich, sandwich_sigma2
 
 
@@ -74,6 +76,18 @@ def five_factor_fit(seed=0, n=20_000):
     sol = solve_dual(system)
     assert sol.converged
     return ds, design, system, sol
+
+
+def binary_covariate_draw(seed=3, cell=(1, 1, -1)):
+    """Three-factor Y1 draw with x1 replaced by [x1 > 0] and set to 0
+    throughout ``cell``. No balance row is redundant on it, but on seed 3
+    the units with positive weight share one value of x1 in three cells,
+    so the variance's curvature is singular."""
+    ds, _ = generate(Scenario("three_factor", 600, "Y1", seed=seed), 0)
+    X = ds.X.copy()
+    X[:, 0] = X[:, 0] > 0
+    X[np.all(ds.Z == cell, axis=1), 0] = 0
+    return Dataset(ds.Z, X, ds.Y)
 
 
 def estimate(ds, system, sol, effect, weights=None):
@@ -307,6 +321,114 @@ class TestVariance:
         assert eigh_sandwich(ds, system, sol.weights, sol.lam, effects)[1] < MIN_CURVATURE_EIGENVALUE
         with pytest.raises(VarianceError, match="singular"):
             weighted_estimates(ds, system, sol.weights, sol.lam, effects)
+
+    def test_singular_active_cells_named_without_advice(self):
+        # rebuilding with the data stage cannot help here: the message names
+        # the cells whose Gram matrix of H over the units with positive
+        # weight is singular, with the number of such units
+        ds = binary_covariate_draw()
+        design, effects = full_design(3, 1), effect_index_set(3, 1)
+        system = build_balance_system(ds, BasisSpec(), design, drop_redundant=True)
+        sol = solve_dual(system)
+        assert sol.converged
+        with pytest.raises(VarianceError, match="no balance row is redundant") as info:
+            weighted_estimates(ds, system, sol.weights, sol.lam, effects)
+        message = str(info.value)
+        assert "drop_redundant" not in message and "S = 6 basis functions" in message
+        named = re.findall(r"\(([-\d, ]+)\): (\d+)", message)
+        assert len(named) == 3 and "in 3 observed cell(s)" in message
+        counts = np.bincount(system.unit_cells[system.rmatvec(sol.lam) < 0], minlength=8)
+        for levels, count in named:
+            levels = [int(v) for v in levels.split(",")]
+            cell = np.flatnonzero(np.all(design.observed == levels, axis=1))
+            assert counts[cell[0]] == int(count) >= 1
+
+    def test_certified_fit_never_factors_the_curvature(self, monkeypatch):
+        # the five-factor fit passes the cell certificate, so the variance
+        # is solved in cell space without the P x P factorization
+        ds, design, system, sol = five_factor_fit(seed=0)
+        effects = effect_index_set(5, 2)
+        want = [est.sigma2_hat for est in weighted_estimates(ds, system, sol.weights, sol.lam, effects)]
+
+        def refuse(A):
+            raise AssertionError("the curvature was factored")
+
+        monkeypatch.setattr(estimation, "_factor_curvature", refuse)
+        ests = weighted_estimates(ds, system, sol.weights, sol.lam, effects)
+        assert [est.sigma2_hat for est in ests] == want
+        np.testing.assert_allclose(
+            want, sandwich_sigma2(ds, system, sol.weights, sol.lam, effects), rtol=1e-10, atol=0
+        )
+
+    @staticmethod
+    def variance_verdict(ds, system, sol, effects, p_space):
+        """sigma2 of ``weighted_estimates`` (None if it raises
+        ``VarianceError``), the warnings it emits and whether it solved in
+        cell space; with ``p_space`` the P x P path is taken throughout."""
+        solved = []
+        cell_solve = BalanceSystem.cell_solve
+
+        def spy(self, gram, ridge, v):
+            out = None if p_space and v.ndim == 2 else cell_solve(self, gram, ridge, v)
+            solved.append(v.ndim == 2 and out is not None)
+            return out
+
+        with mock.patch.object(BalanceSystem, "cell_solve", spy), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                ests = weighted_estimates(ds, system, sol.weights, sol.lam, effects)
+                sigma2 = np.array([est.sigma2_hat for est in ests])
+            except VarianceError:
+                sigma2 = None
+        return sigma2, [str(w.message) for w in caught], any(solved)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        k=st.integers(3, 6),
+        complete=st.booleans(),
+        flavor=st.sampled_from(["heterogeneous", "additive"]),
+        binary=st.booleans(),
+        x1=st.sampled_from([(0.0, 1.0), (0.0, 1e-3), (0.0, 1e-5), (0.0, 1e3), (1e3, 1.0)]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_cell_certificate_keeps_the_p_space_verdicts(self, k, complete, flavor, binary, x1, seed):
+        # cells of 0 to 59 units (some with fewer active units than S), a
+        # binary covariate constant over one cell's units, and x1 shifted or
+        # scaled so that some curvatures are singular or ill-conditioned:
+        # the VarianceError verdict and the warnings are those of the P x P
+        # path; where the cell certificate holds, the curvature's eigenvalues
+        # clear both bounds and sigma2 is the per-unit oracle's
+        rng = np.random.default_rng(seed)
+        k_prime = 1 if k == 3 else int(rng.integers(1, 3))
+        if complete:
+            design = full_design(k, k_prime)
+        else:
+            cells = enumerate_combinations(k)
+            unobserved = cells[rng.choice(len(cells), 1 if k == 3 else 2, replace=False)]
+            try:
+                design = build_incomplete_design(k, k_prime, unobserved)
+            except IdentificationError:
+                assume(False)
+        Z = np.repeat(design.observed, rng.integers(rng.integers(0, 30), 60, len(design.observed)), axis=0)
+        X = rng.normal(size=(len(Z), 2))
+        X[:, 0] = x1[0] + x1[1] * X[:, 0]
+        if binary:
+            X[:, 1] = X[:, 1] > 0
+            X[np.all(Z == design.observed[rng.integers(len(design.observed))], axis=1), 1] = 1.0
+        ds = Dataset(Z, X, Z[:, 0] + rng.normal(size=len(Z)))
+        system = build_balance_system(ds, BasisSpec(model_flavor=flavor), design, drop_redundant=True)
+        sol = solve_dual(system, SolverOptions(max_iters=30))
+        effects = [e for e in design.effects if e.order > 0]
+        sigma2, warned, in_cells = self.variance_verdict(ds, system, sol, effects, p_space=False)
+        want, want_warned, _ = self.variance_verdict(ds, system, sol, effects, p_space=True)
+        assert (sigma2 is None) == (want is None)
+        assert warned == want_warned
+        if in_cells:
+            _, lam_min, cond = eigh_sandwich(ds, system, sol.weights, sol.lam, effects)
+            assert lam_min >= MIN_CURVATURE_EIGENVALUE and cond <= MAX_CURVATURE_CONDITION
+            oracle = sandwich_sigma2(ds, system, sol.weights, sol.lam, effects)
+            np.testing.assert_allclose(sigma2, oracle, rtol=1e-10, atol=0)
 
     @pytest.mark.parametrize("draw", ["three", "incomplete", (25, 0), (66, 0), (91, 0)])
     def test_matches_eigh_oracle(self, draw):
